@@ -4,8 +4,13 @@ The test compares the number of nodes (the Tjurina number, read from the
 Milnor algebra at the general stabilization bound) with the graded
 dimension at 2d-3: equality certifies that every irreducible component is
 rational, and the difference reports the total geometric genus otherwise.
-Nodality itself is certified by counting distinct singular points through a
-random coordinate change and lex elimination.
+Nodality itself is certified by counting distinct singular points after a
+random coordinate change that leaves none at infinity: in shape position
+the squarefree degree of one eliminant is the count, and otherwise the
+radical of the chart ideal (Seidenberg's lemma) has one standard monomial
+per point.  Reducedness needs no gcd: in characteristic 0 a homogeneous f
+is reduced exactly when its singular locus is finite, which the Hilbert
+numerator of the Milnor algebra already shows.
 """
 
 from __future__ import annotations
@@ -17,167 +22,21 @@ from fractions import Fraction
 from . import upoly
 from .groebner import GroebnerBasis, Ideal, buchberger, leading_ideal, normal_form
 from .hilbert import milnor_profile
-from .polyring import (
-    Monomial,
-    MPoly,
-    exact_div,
-    dehomogenize,
-    partials,
-)
+from .numberfield import SelfCheckError
+from .polyring import Monomial, MPoly, dehomogenize, partials
 
 
 class SingularLocusError(RuntimeError):
     """Raised when random coordinate changes fail to expose the singular points."""
 
 
-# ---------------------------------------------------------------------------
-# multivariate gcd over Q, by content/primitive-part recursion
-
-
-def _as_univariate(p: MPoly, var: int) -> list[MPoly]:
-    """Coefficient list of p in the chosen variable, ascending degree."""
-    deg = max((m[var] for m in p.terms), default=-1)
-    coeffs = [dict() for _ in range(deg + 1)]
-    for m, c in p.terms.items():
-        reduced = list(m)
-        reduced[var] = 0
-        coeffs[m[var]][tuple(reduced)] = c
-    return [MPoly(p.nvars, t) for t in coeffs]
-
-
-def _from_univariate(coeffs: list[MPoly], var: int, nvars: int) -> MPoly:
-    total: dict[Monomial, object] = {}
-    for e, p in enumerate(coeffs):
-        for m, c in p.terms.items():
-            lifted = list(m)
-            lifted[var] += e
-            total[tuple(lifted)] = c
-    return MPoly(nvars, total)
-
-
-def _rational_content(p: MPoly) -> Fraction:
-    from math import gcd
-
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        c = Fraction(c)
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(0)
-
-
-def _normalize_sign(p: MPoly) -> MPoly:
-    if p.is_zero():
-        return p
-    lead = p.terms[p.leading_monomial()]
-    if Fraction(lead) < 0:
-        return -p
-    return p
-
-
-def mpoly_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """GCD over Q[x,y,(z)], primitive and with positive leading coefficient."""
-    if a.is_zero():
-        return _make_primitive(b)
-    if b.is_zero():
-        return _make_primitive(a)
-    vars_used = [
-        v
-        for v in range(a.nvars)
-        if any(m[v] for m in a.terms) or any(m[v] for m in b.terms)
-    ]
-    if not vars_used:
-        return MPoly.constant(Fraction(1), a.nvars)
-    var = vars_used[-1]
-    if not any(m[var] for m in a.terms) or not any(m[var] for m in b.terms):
-        # one side is free of the main variable: gcd divides its content
-        free, other = (a, b) if not any(m[var] for m in a.terms) else (b, a)
-        cont = _content_in_var(other, var)
-        return mpoly_gcd(free, cont)
-    cont_a = _content_in_var(a, var)
-    cont_b = _content_in_var(b, var)
-    cont = mpoly_gcd(cont_a, cont_b)
-    f = _primitive_part_in_var(a, var, cont_a)
-    g = _primitive_part_in_var(b, var, cont_b)
-    if _deg_in_var(f, var) < _deg_in_var(g, var):
-        f, g = g, f
-    while not g.is_zero():
-        r = _pseudo_rem(f, g, var)
-        f, g = g, _primitive_part_in_var(r, var, None)
-    return _make_primitive(cont * f)
-
-
-def _deg_in_var(p: MPoly, var: int) -> int:
-    return max((m[var] for m in p.terms), default=-1)
-
-
-def _content_in_var(p: MPoly, var: int) -> MPoly:
-    coeffs = [c for c in _as_univariate(p, var) if not c.is_zero()]
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = mpoly_gcd(acc, c)
-        if acc.degree() == 0:
-            break
-    return _make_primitive(acc)
-
-
-def _primitive_part_in_var(p: MPoly, var: int, cont: MPoly | None) -> MPoly:
-    if p.is_zero():
-        return p
-    if cont is None:
-        cont = _content_in_var(p, var)
-    if cont.degree() == 0:
-        c = cont.constant_coefficient()
-        return p.map_coefficients(lambda v: Fraction(v) / Fraction(c))
-    return exact_div(p, cont)
-
-
-def _pseudo_rem(f: MPoly, g: MPoly, var: int) -> MPoly:
-    fc = _as_univariate(f, var)
-    gc = _as_univariate(g, var)
-    dg = len(gc) - 1
-    lead_g = gc[-1]
-    rem = fc
-    while len(rem) - 1 >= dg and rem:
-        dr = len(rem) - 1
-        lead_r = rem[-1]
-        new = []
-        for i in range(dr):
-            t = lead_g * rem[i]
-            j = i - (dr - dg)
-            if 0 <= j < dg:
-                t = t - lead_r * gc[j]
-            new.append(t)
-        while new and new[-1].is_zero():
-            new.pop()
-        rem = new
-    return _from_univariate(rem, var, f.nvars) if rem else MPoly.zero(f.nvars)
-
-
-def _make_primitive(p: MPoly) -> MPoly:
-    if p.is_zero():
-        return p
-    cont = _rational_content(p)
-    return _normalize_sign(p.map_coefficients(lambda v: Fraction(v) / cont))
-
-
-# ---------------------------------------------------------------------------
-# the certificate
-
-
 def is_reduced(f: MPoly) -> bool:
-    """Square-freeness of a nonzero homogeneous polynomial, via gcd with its partials."""
-    if f.is_zero():
-        raise ValueError("expected a nonzero polynomial")
-    g = f
-    for p in partials(f):
-        if p.is_zero():
-            continue
-        g = mpoly_gcd(g, p)
-        if g.degree() == 0:
-            return True
-    return g.degree() == 0
+    """Square-freeness of a homogeneous polynomial in x, y, z of degree >= 2.
+
+    f is reduced exactly when its singular locus is finite, that is when
+    (1-t)^2 divides the Hilbert numerator of S/J_f (characteristic 0).
+    """
+    return milnor_profile(f).q_polynomial is not None
 
 
 def _random_change(rng: random.Random, f: MPoly) -> MPoly | None:
@@ -223,8 +82,10 @@ def _standard_monomials(lead: tuple[Monomial, ...]) -> list[Monomial] | None:
     return out
 
 
-def _shape_eliminant(gb: GroebnerBasis, standard: list[Monomial], var: int):
-    """Eliminant of the lex basis eliminating the other variable, or None.
+def _shape_eliminant(
+    gb: GroebnerBasis, standard: list[Monomial], var: int
+) -> tuple[upoly.Coeffs, bool]:
+    """Eliminant in the kept variable, and whether shape position holds.
 
     Walks the powers of the kept variable through their normal forms until
     the first dependency, which is the pure eliminant; the shape holds when
@@ -266,22 +127,24 @@ def _shape_eliminant(gb: GroebnerBasis, standard: list[Monomial], var: int):
         kept_rows.append((pivot, vec, combo))
         power = power * v
     if eliminant is None:
-        raise ArithmeticError("no univariate dependency in a finite quotient")
+        raise SelfCheckError("no univariate dependency in a finite quotient")
     other_vec = nf_vector(MPoly.variable(1 - var, 2))
     _, _, pivot = reduce_against(other_vec, [Fraction(0)] * (dim + 1))
-    if pivot is not None:
-        return None  # the other variable is not a polynomial in this one
-    return eliminant
+    return eliminant, pivot is None
 
 
 def _chart_point_count(g: MPoly) -> int | None:
-    """Distinct singular points in the chart z = 1, or None on shape failure.
+    """Distinct singular points in the chart z = 1, or None when the
+    singular locus is not finite there.
 
-    Works with the lex elimination data of the dehomogenized Jacobian ideal:
-    the univariate eliminant carries the point count as its squarefree
-    degree, and the element linear in the complementary variable certifies
-    one point per root.  Both elimination orientations are tried, since
-    their degeneracies are independent.
+    Works with the lex elimination data of the dehomogenized Jacobian ideal
+    I.  In shape position (the other variable is a polynomial in the kept
+    one modulo I) the kept coordinate separates the points, so the count is
+    the squarefree degree of the eliminant.  Both orientations are tried,
+    since their degeneracies are independent.  When neither holds, as at a
+    point that is not curvilinear (an ordinary triple point), the squarefree
+    eliminants in x and in y are added to I: by Seidenberg's lemma the sum
+    is the radical of I, whose standard monomials count the points.
     """
     gens = [dehomogenize(p) for p in partials(g)]
     gens = [p for p in gens if not p.is_zero()]
@@ -292,39 +155,34 @@ def _chart_point_count(g: MPoly) -> int | None:
     standard = _standard_monomials(leading_ideal(gb))
     if standard is None:
         return None  # singular locus is not zero-dimensional in this chart
+    sqfree = []
     for var in (1, 0):
-        eliminant = _shape_eliminant(gb, standard, var)
-        if eliminant is not None:
-            sqfree = upoly.exact_div(
-                eliminant, upoly.gcd_poly(eliminant, upoly.derivative(eliminant))
-            )
-            return upoly.degree(sqfree)
-    return None
+        eliminant, shape = _shape_eliminant(gb, standard, var)
+        part = upoly.exact_div(eliminant, upoly.gcd_poly(eliminant, upoly.derivative(eliminant)))
+        if shape:
+            return upoly.degree(part)
+        sqfree.append(upoly.evaluate(part, MPoly.variable(var, 2)))
+    radical = buchberger(Ideal(gb.elements + tuple(sqfree)))
+    return len(_standard_monomials(leading_ideal(radical)))
 
 
 def count_distinct_singular_points(f: MPoly, seed: int = 0) -> int:
     """Number of distinct singular points of the projective curve f = 0.
 
-    Applies random invertible coordinate changes until the affine chart
-    shows all singular points with the expected elimination shape and two
-    independent trials agree; at most five trials.
+    Applies random invertible coordinate changes, at most five, until one
+    leaves no singular point on the line at infinity and the affine chart
+    yields a count.  That first count is a proof, so it is returned as is.
     """
     if f.nvars != 3:
         raise ValueError("expected a polynomial in x, y, z")
     rng = random.Random(seed)
-    counts: list[int] = []
     for _ in range(5):
         g = _random_change(rng, f)
-        if g is None:
-            continue
-        if not _no_singular_points_at_infinity(g):
+        if g is None or not _no_singular_points_at_infinity(g):
             continue
         count = _chart_point_count(g)
-        if count is None:
-            continue
-        if count in counts:
+        if count is not None:
             return count
-        counts.append(count)
     raise SingularLocusError(
         "could not certify the singular point count after 5 coordinate changes"
     )
@@ -332,9 +190,10 @@ def count_distinct_singular_points(f: MPoly, seed: int = 0) -> int:
 
 def is_nodal(f: MPoly, seed: int = 0) -> bool:
     """Whether every singularity is a node: the Tjurina number equals the
-    number of distinct singular points exactly when all local types are A1."""
-    prof = milnor_profile(f)
-    return prof.tau == count_distinct_singular_points(f, seed=seed)
+    number of distinct singular points exactly when all local types are A1.
+    A non-reduced curve has no finite Tjurina number and is not nodal."""
+    tau = milnor_profile(f).tau
+    return tau is not None and tau == count_distinct_singular_points(f, seed=seed)
 
 
 VERDICT_ALL_RATIONAL = "all_rational"
@@ -368,9 +227,9 @@ def rationality_test(f: MPoly, seed: int = 0) -> CurveReport:
     d = f.degree()
     if d < 3:
         raise ValueError("require degree >= 3")
+    prof = milnor_profile(f)
     if not is_reduced(f):
         return CurveReport(degree=d, verdict=VERDICT_NOT_REDUCED)
-    prof = milnor_profile(f)
     points = count_distinct_singular_points(f, seed=seed)
     if prof.tau != points:
         return CurveReport(
@@ -384,9 +243,7 @@ def rationality_test(f: MPoly, seed: int = 0) -> CurveReport:
     verdict = VERDICT_ALL_RATIONAL if genus_sum == 0 else VERDICT_IRRATIONAL
     constant_tail = all(v == prof.dims[2 * d - 3] for v in prof.dims[2 * d - 3 :])
     if constant_tail != (verdict == VERDICT_ALL_RATIONAL):
-        raise ArithmeticError(
-            "stabilization at 2d-3 disagrees with the dimension test"
-        )
+        raise SelfCheckError("stabilization at 2d-3 disagrees with the dimension test")
     return CurveReport(
         degree=d,
         verdict=verdict,

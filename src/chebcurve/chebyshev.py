@@ -13,7 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import upoly
-from .numberfield import AlgNum, FieldSpec, cos_multiple, critical_point, real_cyclotomic_field
+from .numberfield import (
+    AlgNum, FieldSpec, SelfCheckError, cos_multiple, critical_point, real_cyclotomic_field
+)
 from .polyring import MPoly, homogenize, partials
 from .upoly import Coeffs
 
@@ -215,7 +217,7 @@ def conic_intersections(d: int, k: int, l: int) -> tuple[Point, Point, Point, Po
     gk, gl = conics[k - 1], conics[l - 1]
     for pt in points:
         if gk.evaluate(pt) != 0 or gl.evaluate(pt) != 0:
-            raise ArithmeticError(f"intersection point ({pt[0]}, {pt[1]}) fails membership")
+            raise SelfCheckError(f"intersection point ({pt[0]}, {pt[1]}) fails membership")
     if len({(str(p[0]), str(p[1])) for p in points}) != 4:
-        raise ArithmeticError("intersection points are not distinct")
+        raise SelfCheckError("intersection points are not distinct")
     return points

@@ -1,10 +1,11 @@
 """Command-line interface with deterministic JSON and text reports.
 
-Exit codes: 0 success, 1 verification failure, 2 input error,
-3 precondition violation.  Reports are canonical: keys sorted, integers
-exact, rationals as "p/q" strings, field elements as coefficient arrays
-with their minimal polynomial; timings live under the volatile key so the
-rest of the payload is byte-stable.
+Exit codes: 0 success, 1 verification failure (a failed verify item or
+a failed internal self-check), 2 input error, 3 precondition violation.
+Reports are canonical: keys sorted, integers exact, rationals as "p/q"
+strings, field elements as coefficient arrays with their minimal
+polynomial; timings live under the volatile key so the rest of the payload
+is byte-stable.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .hilbert import (
     milnor_profile,
 )
 from .interp import evaluation_kernel_dim, evaluation_thresholds, node_evaluation_surjective
-from .numberfield import AlgNum
+from .numberfield import AlgNum, SelfCheckError
 from .polyring import MPoly, ParseError, parse, to_string
 from .syzygy import syzygy_dim, syzygy_dim_from_hilbert, verify_resolution
 
@@ -341,14 +342,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the report to a file")
 
 
-def _degree_arg(lo: int, hi: int):
+def _int_arg(lo: int, hi: int | None = None):
     def check(text: str) -> int:
         try:
             v = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if not lo <= v <= hi:
-            raise argparse.ArgumentTypeError(f"d must be in {lo}..{hi}")
+        if v < lo or (hi is not None and v > hi):
+            raise argparse.ArgumentTypeError(
+                f"must be in {lo}..{hi}" if hi is not None else f"must be at least {lo}"
+            )
         return v
 
     return check
@@ -363,25 +366,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit curve data and factorizations")
-    p.add_argument("-d", type=_degree_arg(3, 30), required=True)
+    p.add_argument("-d", type=_int_arg(3, 30), required=True)
     p.add_argument("--sign", choices=("plus", "minus"), default="plus")
     _add_common(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("hilbert", help="Milnor algebra Hilbert data of a polynomial file")
     p.add_argument("file")
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--kmax", type=_int_arg(0), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("syzygy", help="per-degree syzygy dimensions of a polynomial file")
     p.add_argument("file")
-    p.add_argument("--rmax", type=int, default=None)
+    p.add_argument("--rmax", type=_int_arg(0), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_syzygy)
 
     p = sub.add_parser("interp", help="node-grid evaluation thresholds")
-    p.add_argument("-d", type=_degree_arg(3, GROEBNER_MAX_D), required=True)
+    p.add_argument("-d", type=_int_arg(3, GROEBNER_MAX_D), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_interp)
 
@@ -392,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rational_test)
 
     p = sub.add_parser("verify", help="run the full verification bundle for degree d")
-    p.add_argument("-d", type=_degree_arg(3, FACTOR_MAX_D), required=True)
+    p.add_argument("-d", type=_int_arg(3, FACTOR_MAX_D), required=True)
     p.add_argument("--strategy", choices=("normal", "fifo"), default="normal")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -411,6 +414,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
+    except SelfCheckError as exc:
+        sys.stderr.write(f"error: internal self-check failed: {exc}\n")
+        return EXIT_VERIFY_FAILED
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR

@@ -2,8 +2,10 @@
 
 The numerator P(t) of a monomial quotient is computed by the classical
 pivot recursion; graded dimensions come from expanding P(t)/(1-t)^3, and
-the Tjurina number of a plane curve is read off at the general
-stabilization bound 3(d-2)+1.
+the Tjurina number of a reduced plane curve is read off at the general
+stabilization bound 3(d-2)+1.  A non-reduced curve has a singular curve
+component, so (1-t)^2 does not divide P(t) and the Tjurina number is
+infinite; it is reported as absent.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class HilbertData:
 class MilnorProfile:
     d: int
     hilbert: HilbertData
-    tau: int
+    tau: int | None  # None when f is not reduced: the Tjurina number is infinite
     q_polynomial: IntPoly | None
 
     @property
@@ -172,11 +174,11 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
         raise ValueError("kmax must be non-negative")
     tau_degree = 3 * (d - 2) + 1
     dims_full = series_dims(numerator, max(kmax, tau_degree))
-    tau = dims_full[tau_degree]
     dims = dims_full[: kmax + 1]
     stabilized_value, stabilized_from = _stabilization(dims)
     q1 = _divide_by_one_minus_t(numerator)
     q2 = _divide_by_one_minus_t(q1) if q1 is not None else None
+    tau = dims_full[tau_degree] if q2 is not None else None
     return MilnorProfile(
         d=d,
         hilbert=HilbertData(

@@ -16,6 +16,10 @@ from . import upoly
 from .upoly import Coeffs
 
 
+class SelfCheckError(ArithmeticError):
+    """An internal consistency check failed: a fault of the program, not of its input."""
+
+
 def _totient(n: int) -> int:
     result = n
     p = 2
@@ -166,7 +170,7 @@ class AlgNum:
         a = upoly.upoly(self.coeffs)
         g, u, _ = upoly.xgcd(a, self.field.minpoly)
         if upoly.degree(g) != 0:
-            raise ArithmeticError("minimal polynomial is not irreducible")
+            raise SelfCheckError("minimal polynomial is not irreducible")
         red = list(upoly.poly_mod(u, self.field.minpoly))
         return self.field.element(red)
 
@@ -261,11 +265,11 @@ def real_cyclotomic_field(d: int) -> FieldSpec:
         if pivot is None:
             minpoly = upoly.monic(upoly.upoly(combo[: i + 1]))
             if upoly.degree(minpoly) != expected:
-                raise ArithmeticError("minimal polynomial has unexpected degree")
+                raise SelfCheckError("minimal polynomial has unexpected degree")
             return FieldSpec(d=d, minpoly=minpoly, degree=expected)
         basis.append((pivot, row, combo))
         power = upoly.poly_mod(upoly.mul(power, gamma), phi)
-    raise ArithmeticError("no dependency found among generator powers")
+    raise SelfCheckError("no dependency found among generator powers")
 
 
 def real_subfield_minpoly(d: int) -> Coeffs:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from . import linalg
 from .chebyshev import curve_affine, curve_polynomial, minus_conics
 from .hilbert import milnor_profile
-from .numberfield import real_cyclotomic_field
+from .numberfield import SelfCheckError, real_cyclotomic_field
 from .polyring import (
     GREVLEX,
     Monomial,
@@ -157,7 +157,7 @@ def nontrivial_syzygy(d: int, j: int) -> tuple[MPoly, MPoly, MPoly]:
     a1 = MPoly(3, {m: sol[i] for i, m in enumerate(unknown_monos)})
     a2 = MPoly(3, {m: sol[n + i] for i, m in enumerate(unknown_monos)})
     if a1 * fx + a2 * fy + a3 * fz != MPoly.zero(3):
-        raise ArithmeticError("constructed relation does not vanish")
+        raise SelfCheckError("constructed relation does not vanish")
     return a1, a2, a3
 
 

@@ -7,32 +7,10 @@ from chebcurve.arrangement import (
     count_distinct_singular_points,
     is_nodal,
     is_reduced,
-    mpoly_gcd,
     rationality_test,
 )
 from chebcurve.chebyshev import curve_polynomial
 from chebcurve.polyring import MPoly, parse
-
-
-class TestGcd:
-    def test_coprime(self):
-        g = mpoly_gcd(parse("x + y"), parse("x - y"))
-        assert g.degree() == 0
-
-    def test_common_factor(self):
-        p = parse("x + y") * parse("x^2 + y*z")
-        q = parse("x + y") * parse("z^3 - x*y^2")
-        g = mpoly_gcd(p, q)
-        assert g == parse("x + y")
-
-    def test_repeated_factor(self):
-        p = parse("x - z") * parse("x - z") * parse("y")
-        g = mpoly_gcd(p, p.derivative(0))
-        assert g == parse("x*y - y*z")
-
-    def test_univariate_content(self):
-        g = mpoly_gcd(parse("2*x^2"), parse("4*x*y"))
-        assert g == parse("x")
 
 
 class TestIsReduced:
@@ -48,6 +26,46 @@ class TestIsReduced:
     def test_double_conic(self):
         conic = parse("x^2 + y^2 - z^2")
         assert not is_reduced(conic * conic)
+
+
+def _random_factor(rng):
+    """A nonzero line, or a conic (possibly singular), with small coefficients."""
+    monos = (
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        if rng.random() < 0.5
+        else [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+    )
+    while True:
+        p = MPoly(3, {m: rng.randint(-2, 2) for m in monos})
+        if not p.is_zero():
+            return p
+
+
+class TestIsReducedOracle:
+    """is_reduced reads reducedness off the Milnor algebra's Hilbert
+    numerator; sympy's squarefree factorization is an independent oracle."""
+
+    def test_agrees_with_sympy_sqf(self):
+        sympy = pytest.importorskip("sympy")
+        x, y, z = sympy.symbols("x y z")
+        rng = random.Random(2011)
+        seen = {True: 0, False: 0}
+        for _ in range(40):
+            factors = [_random_factor(rng) for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.3:
+                factors.append(factors[0])  # a repeated factor
+            f = factors[0]
+            for g in factors[1:]:
+                f = f * g
+            expected = all(
+                mult == 1
+                for _, mult in sympy.Poly.from_dict(
+                    {m: int(c) for m, c in f.terms.items()}, x, y, z
+                ).sqf_list()[1]
+            )
+            assert is_reduced(f) == expected, f
+            seen[expected] += 1
+        assert seen[True] and seen[False]
 
 
 class TestSingularPointCount:
@@ -71,6 +89,31 @@ class TestSingularPointCount:
     def test_seed_invariance(self, seed):
         assert count_distinct_singular_points(curve_polynomial(5), seed=seed) == 8
 
+    def test_ordinary_triple_point_counts_once(self):
+        # not curvilinear: no coordinate change gives shape position, so the
+        # count comes from the radical of the chart ideal
+        assert count_distinct_singular_points(parse("x^2*y - x*y^2")) == 1
+
+    def test_triple_point_and_nodes(self):
+        f = parse("x^2*y - x*y^2") * parse("x + 2*y + 3*z")
+        assert count_distinct_singular_points(f) == 4
+
+    @pytest.mark.parametrize(
+        "f",
+        [curve_polynomial(d) for d in range(4, 8)]
+        + [
+            parse("x*y*z"),
+            parse("y^2*z - x^3 - x^2*z"),
+            parse("x + y + z") * parse("x^3 + y^3 + z^3"),
+            parse("z*y^2 - x^3"),
+        ],
+    )
+    def test_independent_trials_agree(self, f):
+        # each seed draws its own coordinate changes; one certified trial
+        # per seed must give the same count
+        counts = {count_distinct_singular_points(f, seed=seed) for seed in (0, 1, 2)}
+        assert len(counts) == 1
+
     def test_positive_dimensional_locus_raises(self):
         from chebcurve.arrangement import SingularLocusError
 
@@ -87,6 +130,9 @@ class TestIsNodal:
 
     def test_three_axes(self):
         assert is_nodal(parse("x*y*z"))
+
+    def test_non_reduced_is_not(self):
+        assert not is_nodal(parse("x^2*y"))
 
 
 class TestRationalityTest:
@@ -131,6 +177,17 @@ class TestRationalityTest:
         assert rep.verdict == "has_irrational_component"
         assert rep.tau == 0
         assert rep.genus_sum == 3
+
+    def test_ordinary_triple_point(self):
+        rep = rationality_test(parse("x^2*y - x*y^2"))
+        assert rep.verdict == "not_nodal"
+        assert rep.tau == 4  # an ordinary triple point has tau 4
+        assert rep.distinct_singular_points == 1
+
+    def test_double_conic_not_reduced(self):
+        conic = parse("x^2 + y^2 - z^2")
+        rep = rationality_test(conic * conic * parse("x"))
+        assert rep.verdict == "not_reduced"
 
     def test_rejects_low_degree(self):
         with pytest.raises(ValueError):
@@ -219,6 +276,19 @@ class TestKnownArrangements:
         assert rep.verdict == "has_irrational_component"
         assert rep.tau == 6  # Bezout: 3 * 2
         assert rep.genus_sum == 1  # the smooth cubic
+
+    def test_line_through_two_conic_intersections(self):
+        # the line meets both conics at two of their four common points,
+        # making two ordinary triple points (tau 4 each) and two nodes
+        f = (
+            parse("-x + y - z")
+            * parse("-x^2 - x*y + y^2 - x*z + y*z - z^2")
+            * parse("-x^2 - x*y + y^2 + x*z - y*z + z^2")
+        )
+        rep = rationality_test(f)
+        assert rep.verdict == "not_nodal"
+        assert rep.tau == 10
+        assert rep.distinct_singular_points == 4
 
     def test_nodal_cubic_and_line(self):
         f = parse("y^2*z - x^3 - x^2*z") * parse("x + 3*y + 2*z")

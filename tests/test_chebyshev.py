@@ -168,6 +168,15 @@ class TestConicIntersections:
         for pt in conic_intersections(5, 1, 2):
             assert pt in data.minus_nodes
 
+    def test_failed_membership_is_a_self_check(self, monkeypatch):
+        import chebcurve.chebyshev as chebyshev
+        from chebcurve.numberfield import SelfCheckError
+
+        shifted = [g + 1 for g in minus_conics(6)]
+        monkeypatch.setattr(chebyshev, "minus_conics", lambda d: shifted)
+        with pytest.raises(SelfCheckError, match="fails membership"):
+            conic_intersections(6, 1, 2)
+
     def test_degenerate_indices_rejected(self):
         with pytest.raises(ValueError):
             conic_intersections(6, 2, 2)

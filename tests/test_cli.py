@@ -92,6 +92,18 @@ class TestHilbert:
         rep = run_json(capsys, "hilbert", quartic_file, "--kmax", "15")
         assert len(rep["results"]["dims"]) == 16
 
+    def test_negative_kmax_exit(self, capsys, quartic_file):
+        rc, _, err = run(capsys, "hilbert", quartic_file, "--kmax", "-1")
+        assert rc == 2
+        assert "must be at least 0" in err
+
+    def test_non_reduced_tau_is_null(self, capsys, tmp_path):
+        path = tmp_path / "nr.poly"
+        path.write_text("x^2*y")
+        rep = run_json(capsys, "hilbert", str(path))
+        assert rep["results"]["tau"] is None
+        assert rep["results"]["q_polynomial"] is None
+
 
 class TestSyzygy:
     def test_per_degree_dims(self, capsys, quartic_file):
@@ -100,6 +112,11 @@ class TestSyzygy:
         assert got == {0: 0, 1: 0, 2: 1, 3: 6, 4: 13}
         for e in rep["results"]["per_degree"]:
             assert e["dimension"] == e["expected_from_hilbert"]
+
+    def test_negative_rmax_exit(self, capsys, quartic_file):
+        rc, out, err = run(capsys, "syzygy", quartic_file, "--rmax", "-1")
+        assert rc == 2 and out == ""
+        assert "must be at least 0" in err
 
 
 class TestInterp:
@@ -142,6 +159,53 @@ class TestRationalTest:
         rep = run_json(capsys, "rational-test", str(path))
         assert rep["results"]["verdict"] == "all_rational"
         assert rep["results"]["tau"] == 12
+
+    def test_triple_point_certified(self, capsys, tmp_path):
+        # no coordinate change puts an ordinary triple point in shape
+        # position; the radical count still certifies it
+        path = tmp_path / "triple.poly"
+        path.write_text("x^2*y - x*y^2")  # three concurrent lines
+        rep = run_json(capsys, "rational-test", str(path))
+        assert rep["results"]["verdict"] == "not_nodal"
+        assert rep["results"]["tau"] == 4
+        assert rep["results"]["distinct_singular_points"] == 1
+
+
+class TestSelfCheckExit:
+    """A failed internal self-check exits 1 with its own message, not 2."""
+
+    def test_stabilization_disagreement(self, capsys, monkeypatch, quartic_file):
+        import dataclasses
+
+        import chebcurve.arrangement as arrangement
+        from chebcurve.hilbert import milnor_profile
+
+        def broken_profile(f):
+            prof = milnor_profile(f)
+            dims = prof.hilbert.dims[:-1] + (prof.hilbert.dims[-1] + 1,)
+            return dataclasses.replace(
+                prof, hilbert=dataclasses.replace(prof.hilbert, dims=dims)
+            )
+
+        monkeypatch.setattr(arrangement, "milnor_profile", broken_profile)
+        rc, out, err = run(capsys, "rational-test", quartic_file)
+        assert rc == 1 and out == ""
+        assert "internal self-check failed" in err
+        assert "stabilization at 2d-3" in err
+
+    def test_relation_does_not_vanish(self, capsys, monkeypatch):
+        import chebcurve.syzygy as syzygy
+
+        solve = syzygy.linalg.solve_unique
+        monkeypatch.setattr(
+            syzygy.linalg,
+            "solve_unique",
+            lambda rows, rhs, ncols: [v + 1 for v in solve(rows, rhs, ncols)],
+        )
+        syzygy.nontrivial_syzygy.cache_clear()
+        rc, out, err = run(capsys, "verify", "-d", "4")
+        assert rc == 1 and out == ""
+        assert "internal self-check failed: constructed relation does not vanish" in err
 
 
 class TestVerify:

@@ -162,6 +162,14 @@ class TestMilnorProfile:
         assert prof.dims[:5] == (1, 3, 3, 3, 3)
         assert prof.tau == 3
 
+    def test_non_reduced_has_no_tau(self):
+        # the singular locus contains the line x = 0: dims grow without
+        # bound, so the Tjurina number is infinite and reported as absent
+        prof = milnor_profile(parse("x^2*y"))
+        assert prof.q_polynomial is None
+        assert prof.tau is None
+        assert prof.dims[-1] > prof.dims[-2]
+
     def test_rejects_nonhomogeneous(self):
         with pytest.raises(ValueError):
             milnor_profile(parse("x^2 + y"))
