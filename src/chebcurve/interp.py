@@ -9,6 +9,7 @@ cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .chebyshev import build
@@ -26,19 +27,27 @@ class EvalMatrix:
 
 
 def rank_exact(matrix) -> int:
-    """Exact rank via fraction-free elimination with exact zero tests."""
+    """Exact rank: certified by one modular elimination when the matrix has
+    full rank, and by exact elimination otherwise (see ``linalg.rank``)."""
     return linalg.rank(matrix)
 
 
 def _evaluate_basis(points, monos) -> tuple[tuple, ...]:
+    tops = [max(m[i] for m in monos) for i in range(len(monos[0]))]
     rows = []
     for pt in points:
+        tables = []
+        for xi, top in zip(pt, tops):
+            table = [None, xi]
+            for _ in range(top - 1):
+                table.append(table[-1] * xi)
+            tables.append(table)
         row = []
         for m in monos:
             v = None
-            for xi, e in zip(pt, m):
+            for table, e in zip(tables, m):
                 if e:
-                    p = xi**e
+                    p = table[e]
                     v = p if v is None else v * p
             row.append(1 if v is None else v)
         rows.append(tuple(row))
@@ -63,21 +72,36 @@ def evaluation_kernel_dim(d: int, r: int) -> int:
     return len(mat.columns) - rank_exact(mat.rows)
 
 
+@lru_cache(maxsize=None)
+def grid_ranks(d: int) -> tuple[int, ...]:
+    """Ranks of the degree-r grid evaluation matrices for r = 0..d.
+
+    The degree-d matrix is built once; the degree-r matrix is its set of
+    columns of the monomials of degree at most r.
+    """
+    if d < 3:
+        raise ValueError("require d >= 3")
+    full = grid_matrix(d, d)
+    index = {m: j for j, m in enumerate(full.columns)}
+    ranks = []
+    for r in range(d + 1):
+        cols = [index[m] for m in monomial_basis(r, nvars=2)]
+        ranks.append(rank_exact([[row[j] for j in cols] for row in full.rows]))
+    return tuple(ranks)
+
+
 def evaluation_thresholds(d: int) -> tuple[int, int]:
     """(largest injective degree, smallest surjective degree) of grid evaluation.
 
     Scans r = 0..d: injective means full column rank, surjective means rank
     equal to the number of grid points.
     """
-    if d < 3:
-        raise ValueError("require d >= 3")
+    ranks = grid_ranks(d)
     npoints = len(build(d).minus_nodes)
     max_injective = None
     min_surjective = None
-    for r in range(d + 1):
-        mat = grid_matrix(d, r)
-        rk = rank_exact(mat.rows)
-        if rk == len(mat.columns):
+    for r, rk in enumerate(ranks):
+        if rk == len(monomial_basis(r, nvars=2)):
             max_injective = r
         if rk == npoints and min_surjective is None:
             min_surjective = r

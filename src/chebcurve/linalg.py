@@ -1,6 +1,16 @@
 """Exact sparse linear algebra over Q and the cyclotomic fields.
 
-Rank is computed by fraction-free elimination: rational rows are scaled to
+Rank is certified before it is computed.  Reducing the entries modulo one
+prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
+2*cos(pi/d) goes to zeta + 1/zeta for a 2d-th root of unity zeta in F_p),
+so a nonzero minor mod p lifts to a nonzero minor: rank mod p <= rank.
+Every rank is at most min(#nonzero rows, #nonzero columns).  When one
+elimination mod p reaches that bound, the two bounds meet and the rank is
+proven.  Otherwise, and whenever no reduction applies (p divides a
+denominator, or the entries come from different fields), the rank comes
+from exact elimination.
+
+The exact elimination is fraction-free: rational rows are scaled to
 primitive integers, each update is a two-term cross-multiplication followed
 by content removal, and pivots are chosen by a Markowitz-style fill-in
 estimate.  Field-valued matrices (AlgNum entries) use exact division
@@ -10,10 +20,11 @@ instead.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .numberfield import AlgNum
+from .numberfield import AlgNum, real_cyclotomic_field
 
 Row = dict[int, object]
 
@@ -74,40 +85,49 @@ def _strip_content(row: Row) -> None:
             row[c] //= g
 
 
-def _pick_pivot(rows: list[tuple[int, Row]]) -> tuple[int, int]:
-    """Return (list index, column) minimizing fill-in, deterministically."""
-    col_count: dict[int, int] = {}
-    for _, row in rows:
-        for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
+def _pick_pivot(rows: list[tuple[int, Row]], col_count: dict[int, int]) -> tuple[int, int]:
+    """Return (list index, column) minimizing fill-in, deterministically.
+
+    ``col_count[c]`` is the number of rows in ``rows`` with an entry in c.
+    The score of an entry is ((len(row) - 1) * (count - 1), len(row),
+    count, original row index, column); within one row it grows with
+    (count, column), so each row's best entry is found first.
+    """
     best = None
     for li, (orig, row) in enumerate(rows):
-        for c in row:
-            score = ((len(row) - 1) * (col_count[c] - 1), len(row), col_count[c], orig, c)
-            if best is None or score < best[0]:
-                best = (score, li, c)
+        count, c = min(zip(map(col_count.__getitem__, row), row))
+        score = ((len(row) - 1) * (count - 1), len(row), count, orig, c)
+        if best is None or score < best[0]:
+            best = (score, li, c)
     return best[1], best[2]
 
 
-def rank(matrix: Iterable) -> int:
-    """Exact rank of a matrix given as rows (sequences or sparse dicts)."""
-    rows = [r for r in _to_rows(matrix) if r]
-    if not rows:
-        return 0
+def _count_columns(row: Row, col_count: dict[int, int], step: int) -> None:
+    for c in row:
+        col_count[c] = col_count.get(c, 0) + step
+
+
+def _rank_exact(rows: list[Row]) -> int:
+    """Rank of non-empty rows by exact elimination over Q or the entries' field."""
     rational = _is_rational(rows)
     if rational:
         rows = [_scale_primitive(r) for r in rows]
     active = list(enumerate(rows))
+    col_count: dict[int, int] = {}
+    for row in rows:
+        _count_columns(row, col_count, 1)
     rk = 0
     while active:
-        li, c = _pick_pivot(active)
+        li, c = _pick_pivot(active, col_count)
         _, pivot = active.pop(li)
+        _count_columns(pivot, col_count, -1)
         pv = pivot[c]
         rk += 1
         updated: list[tuple[int, Row]] = []
         for orig, row in active:
             rv = row.get(c)
             if rv:
+                _count_columns(row, col_count, -1)
                 if rational:
                     d = gcd(pv, rv)
                     a = pv // d
@@ -135,9 +155,166 @@ def rank(matrix: Iterable) -> int:
                     row = new
                 if not row:
                     continue
+                _count_columns(row, col_count, 1)
             updated.append((orig, row))
         active = updated
     return rk
+
+
+def _is_prime(n: int) -> bool:
+    # Miller-Rabin with bases 2, 3, 5, 7 is deterministic below 3215031751
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    s, m = 0, n - 1
+    while m % 2 == 0:
+        s, m = s + 1, m // 2
+    for a in (2, 3, 5, 7):
+        x = pow(a, m, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _modulus(n: int) -> int:
+    """The largest prime p < 2**31 with p = 1 (mod n)."""
+    p = (2**31 - 2) // n * n + 1
+    while not _is_prime(p):
+        p -= n
+    return p
+
+
+@lru_cache(maxsize=None)
+def _generator_image(d: int) -> tuple[int, int] | None:
+    """(p, image of 2*cos(pi/d) in F_p) for p = _modulus(2d), or None.
+
+    The image is zeta + 1/zeta for a primitive 2d-th root of unity zeta,
+    which exists because 2d divides p - 1; it is accepted only when the
+    minimal polynomial of 2*cos(pi/d) vanishes there, which makes the
+    reduction Q(2*cos(pi/d)) -> F_p a ring homomorphism on the elements
+    whose coefficients have denominators prime to p.
+    """
+    n = 2 * d
+    p = _modulus(n)
+    for x in range(2, p):
+        zeta = pow(x, (p - 1) // n, p)
+        if all(pow(zeta, k, p) != 1 for k in range(1, n)):
+            break
+    g = (zeta + pow(zeta, -1, p)) % p
+    value = 0
+    for c in reversed(real_cyclotomic_field(d).minpoly):
+        r = _residue(c, p)
+        if r is None:
+            return None
+        value = (value * g + r) % p
+    return (p, g) if value == 0 else None
+
+
+def _residue(q: Fraction, p: int) -> int | None:
+    den = q.denominator
+    if den % p == 0:
+        return None
+    return q.numerator * pow(den, -1, p) % p
+
+
+def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
+    """The rows' image in F_p, with p; None when no reduction applies.
+
+    Rational rows use p = _modulus(2); rows with entries in Q(2*cos(pi/d))
+    use p = _modulus(2d).  There is no reduction when the entries come
+    from different fields, when the minimal polynomial has no root at the
+    chosen image of the generator, or when p divides a denominator.
+    """
+    fields = {v.field.d for row in rows for v in row.values() if isinstance(v, AlgNum)}
+    if len(fields) > 1:
+        return None
+    if fields:
+        d = fields.pop()
+        image = _generator_image(d)
+        if image is None:
+            return None
+        p, g = image
+        gpow = [pow(g, i, p) for i in range(real_cyclotomic_field(d).degree)]
+    else:
+        p = _modulus(2)
+    out = []
+    for row in rows:
+        red: dict[int, int] = {}
+        for c, v in row.items():
+            if isinstance(v, AlgNum):
+                r = 0
+                for a, gi in zip(v.coeffs, gpow):
+                    if a:
+                        ra = _residue(a, p)
+                        if ra is None:
+                            return None
+                        r += ra * gi
+                r %= p
+            else:
+                r = _residue(v, p)
+                if r is None:
+                    return None
+            if r:
+                red[c] = r
+        out.append(red)
+    return out, p
+
+
+def _reaches_rank_mod_p(rows: list[dict[int, int]], p: int, target: int) -> bool:
+    """Whether the rows have rank ``target`` over F_p.
+
+    Rows are reduced one at a time against normalized pivot rows keyed by
+    their leading column; the scan stops as soon as more than
+    ``len(rows) - target`` rows have reduced to zero.
+    """
+    slack = len(rows) - target
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {cc: v * inv % p for cc, v in row.items()}
+                break
+            f = row[c]
+            for cc, v in prow.items():
+                nv = (row.get(cc, 0) - f * v) % p
+                if nv:
+                    row[cc] = nv
+                else:
+                    row.pop(cc, None)
+        else:
+            slack -= 1
+            if slack < 0:
+                return False
+    return True
+
+
+def rank(matrix: Iterable) -> int:
+    """Exact rank of a matrix given as rows (sequences or sparse dicts).
+
+    A full rank is certified by one elimination mod p; any other rank comes
+    from exact elimination.
+    """
+    rows = [r for r in _to_rows(matrix) if r]
+    if not rows:
+        return 0
+    bound = min(len(rows), len(set().union(*rows)))
+    reduced = _reduce_mod_p(rows)
+    if reduced is not None and _reaches_rank_mod_p(*reduced, bound):
+        return bound
+    return _rank_exact(rows)
 
 
 def kernel_dim(matrix: Iterable, ncols: int) -> int:

@@ -228,11 +228,13 @@ class TestVerify:
         assert item["detail"]["first_syzygy_count"] == 2
 
     def test_large_degree_runs_factor_checks_only(self, capsys):
-        rep = run_json(capsys, "verify", "-d", "9")
-        names = {item["name"] for item in rep["results"]["items"]}
-        assert "factorization_plus" in names
-        assert "evaluation_thresholds" in names
-        assert "hilbert_numerator_matches_closed_form" not in names
+        for d in ("9", "10"):
+            rep = run_json(capsys, "verify", "-d", d)
+            assert rep["results"]["all_pass"] is True
+            names = {item["name"] for item in rep["results"]["items"]}
+            assert "factorization_plus" in names
+            assert "evaluation_thresholds" in names
+            assert "hilbert_numerator_matches_closed_form" not in names
 
     def test_smallest_degree(self, capsys):
         rep = run_json(capsys, "verify", "-d", "3")

@@ -47,7 +47,7 @@ class TestRank:
 
 
 class TestThresholds:
-    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("d", range(3, 11))
     def test_expected_pair(self, d):
         assert evaluation_thresholds(d) == (d - 3, d - 2)
 

@@ -1,13 +1,34 @@
-"""Exact elimination: rank, kernels, unique solving."""
+"""Exact elimination: rank, kernels, unique solving, the modular certificate."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebcurve.linalg import kernel_dim, rank, solve_unique
+from chebcurve import interp, linalg, syzygy
+from chebcurve.chebyshev import curve_polynomial
+from chebcurve.linalg import (
+    _modulus,
+    _rank_exact,
+    _reaches_rank_mod_p,
+    _reduce_mod_p,
+    _to_rows,
+    kernel_dim,
+    rank,
+    solve_unique,
+)
 from chebcurve.numberfield import real_cyclotomic_field
+
+
+def exact_rank(matrix) -> int:
+    """Rank by the exact elimination alone, the reference for the certificate."""
+    return _rank_exact([r for r in _to_rows(matrix) if r])
+
+
+def full_rank_bound(rows) -> int:
+    return min(len(rows), len(set().union(*rows)))
 
 
 class TestRank:
@@ -34,6 +55,21 @@ class TestRank:
 
     def test_kernel_dim(self):
         assert kernel_dim([[1, 1, 1]], 3) == 2
+
+    def test_column_counts_stay_current(self, monkeypatch):
+        # the exact elimination updates its column counts in place; at every
+        # pivot choice they must equal a recount over the active rows
+        pick = linalg._pick_pivot
+
+        def checked(active, col_count):
+            fresh = Counter(c for _, row in active for c in row)
+            assert {c: k for c, k in col_count.items() if k} == fresh
+            return pick(active, col_count)
+
+        monkeypatch.setattr(linalg, "_pick_pivot", checked)
+        f = curve_polynomial(5)
+        assert exact_rank(syzygy.jacobian_degree_matrix(f, 4).rows) == 45 - 8
+        assert syzygy.relation_module_kernel_dim(5, 6) == (26, 12)
 
 
 class TestSolveUnique:
@@ -77,3 +113,99 @@ class TestSolveUnique:
             return
         x = solve_unique(matrix, [Fraction(b) for b in rhs], 3)
         assert [sum(row[j] * x[j] for j in range(3)) for row in matrix] == rhs
+
+
+def _entries(domain):
+    if domain == "int":
+        return st.integers(min_value=-3, max_value=3)
+    if domain == "fraction":
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    field = real_cyclotomic_field(domain)
+    coeffs = st.lists(st.integers(min_value=-2, max_value=2), min_size=field.degree, max_size=field.degree)
+    return coeffs.map(field.element)
+
+
+@st.composite
+def product_matrices(draw):
+    """A*B with A n x k and B k x m, so the rank is at most k; k < min(n, m)
+    gives rank-deficient matrices."""
+    entry = _entries(draw(st.sampled_from(["int", "fraction", 5, 7])))
+    n, m, k = (draw(st.integers(min_value=lo, max_value=5)) for lo in (1, 1, 0))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    return [[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(m)] for i in range(n)], k
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+
+class TestCertificate:
+    def test_moduli(self):
+        for n in (2, 6, 8, 10, 14, 18, 20):
+            p = _modulus(n)
+            assert p < 2**31 and p % n == 1 and _is_prime(p)
+            assert not any(_is_prime(q) for q in range(p + n, 2**31, n))
+
+    def test_unlucky_prime_falls_back(self):
+        p = _modulus(2)
+        rows = [[1, 1], [1, 1 + p]]
+        reduced = _reduce_mod_p(_to_rows(rows))
+        assert not _reaches_rank_mod_p(*reduced, 2)  # singular mod p
+        assert rank(rows) == 2
+
+    def test_unlucky_prime_over_a_field(self):
+        field = real_cyclotomic_field(5)
+        p = _modulus(10)
+        g = field.gen()
+        rows = [[g, field.one()], [g, field.one() + p]]
+        assert not _reaches_rank_mod_p(*_reduce_mod_p(_to_rows(rows)), 2)
+        assert rank(rows) == 2
+
+    def test_denominator_divisible_by_p(self):
+        p = _modulus(2)
+        assert _reduce_mod_p(_to_rows([[Fraction(1, p)]])) is None
+        assert rank([[Fraction(1, p)]]) == 1
+
+    def test_mixed_fields_use_exact_path(self):
+        a = real_cyclotomic_field(5).gen()
+        b = real_cyclotomic_field(7).gen()
+        rows = [[a, 0], [0, b]]
+        assert _reduce_mod_p(_to_rows(rows)) is None
+        assert rank(rows) == 2
+
+    def test_full_rank_needs_no_exact_elimination(self, monkeypatch):
+        mat = interp.grid_matrix(9, 6)
+        monkeypatch.setattr(linalg, "_rank_exact", None)
+        assert rank(mat.rows) == len(mat.columns)
+
+    @settings(max_examples=80, deadline=None)
+    @given(product_matrices())
+    def test_agrees_with_exact_path(self, case):
+        matrix, k = case
+        got = rank(matrix)
+        assert got == exact_rank(matrix)
+        assert got <= k
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_curve_ranks_agree_with_exact_path(self, monkeypatch, d):
+        # A rank below the full-rank bound can only come from the exact
+        # path, so only full-rank answers need the cross-check.
+        certified = []
+
+        def checked_rank(matrix):
+            got = rank(matrix)
+            rows = [r for r in _to_rows(matrix) if r]
+            if rows and got == full_rank_bound(rows):
+                assert _rank_exact(rows) == got
+                certified.append(got)
+            return got
+
+        monkeypatch.setattr(linalg, "rank", checked_rank)
+        interp.grid_ranks.__wrapped__(d)
+        f = curve_polynomial(d)
+        for r in range(2 * d + 1):
+            syzygy.syzygy_dim(f, r)
+        for r in range(d - 2, d + 3):
+            syzygy.relation_module_kernel_dim(d, r)
+        assert len(certified) >= d + 1
