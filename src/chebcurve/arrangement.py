@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import upoly
+from . import linalg, upoly
 from .groebner import GroebnerBasis, Ideal, buchberger, leading_ideal, normal_form
 from .hilbert import milnor_profile
 from .numberfield import SelfCheckError
@@ -95,42 +95,22 @@ def _shape_eliminant(
     index = {m: i for i, m in enumerate(standard)}
     dim = len(standard)
 
-    def nf_vector(p: MPoly) -> list[Fraction]:
-        r = normal_form(p, gb)
-        vec = [Fraction(0)] * dim
-        for m, c in r.terms.items():
-            vec[index[m]] = Fraction(c)
-        return vec
+    def nf_row(p: MPoly) -> dict[int, Fraction]:
+        return {index[m]: Fraction(c) for m, c in normal_form(p, gb).terms.items()}
 
-    kept_rows: list[tuple[int, list[Fraction], list[Fraction]]] = []  # pivot, vec, combo
+    def powers():
+        v = MPoly.variable(var, 2)
+        power = MPoly.constant(Fraction(1), 2)
+        for _ in range(dim + 1):
+            yield nf_row(power)
+            power = power * v
 
-    def reduce_against(vec: list[Fraction], combo: list[Fraction]):
-        for piv, bvec, bcombo in kept_rows:
-            if vec[piv]:
-                f = vec[piv] / bvec[piv]
-                vec = [a - f * b for a, b in zip(vec, bvec)]
-                combo = [a - f * b for a, b in zip(combo, bcombo)]
-        pivot = next((i for i, a in enumerate(vec) if a), None)
-        return vec, combo, pivot
-
-    v = MPoly.variable(var, 2)
-    power = MPoly.constant(Fraction(1), 2)
-    eliminant = None
-    for k in range(dim + 1):
-        vec = nf_vector(power)
-        combo = [Fraction(0)] * (dim + 1)
-        combo[k] = Fraction(1)
-        vec, combo, pivot = reduce_against(vec, combo)
-        if pivot is None:
-            eliminant = upoly.upoly(combo[: k + 1])
-            break
-        kept_rows.append((pivot, vec, combo))
-        power = power * v
-    if eliminant is None:
+    echelon = linalg.Echelon()
+    combo = linalg.first_dependency(powers(), dim, echelon)
+    if combo is None:
         raise SelfCheckError("no univariate dependency in a finite quotient")
-    other_vec = nf_vector(MPoly.variable(1 - var, 2))
-    _, _, pivot = reduce_against(other_vec, [Fraction(0)] * (dim + 1))
-    return eliminant, pivot is None
+    residue = echelon.reduce(nf_row(MPoly.variable(1 - var, 2)))
+    return upoly.upoly(combo), all(c >= dim for c in residue)
 
 
 def _chart_point_count(g: MPoly) -> int | None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .linalg import primitive, strip_content
 from .polyring import (
     GREVLEX,
     Monomial,
@@ -62,54 +63,14 @@ class _GPoly:
         self.lc = lc
 
 
-def _int_terms(p: MPoly) -> dict[Monomial, int]:
-    den = 1
-    for c in p.terms.values():
-        c = Fraction(c)
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = {}
-    for m, c in p.terms.items():
-        c = Fraction(c)
-        out[m] = c.numerator * (den // c.denominator)
-    return out
-
-
-def _content(terms: dict[Monomial, int]) -> int:
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
 def _make_gpoly(terms: dict[Monomial, int], keyf) -> _GPoly | None:
     if not terms:
         return None
-    g = _content(terms)
+    strip_content(terms)
     lm = max(terms, key=keyf)
     if terms[lm] < 0:
-        g = -g
-    if g != 1:
-        terms = {m: c // g for m, c in terms.items()}
+        terms = {m: -c for m, c in terms.items()}
     return _GPoly(terms, lm, terms[lm])
-
-
-def _joint_content_strip(work: dict[Monomial, int], rem: dict[Monomial, int]) -> None:
-    g = 0
-    for v in work.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    for v in rem.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for k in work:
-            work[k] //= g
-        for k in rem:
-            rem[k] //= g
 
 
 def _normal_form_int(terms: dict[Monomial, int], basis: list[_GPoly], keyf) -> dict[Monomial, int]:
@@ -151,7 +112,7 @@ def _normal_form_int(terms: dict[Monomial, int], basis: list[_GPoly], keyf) -> d
         steps += 1
         if steps % 64 == 0:
             # periodic strip keeps the cross-multiplied integers small
-            _joint_content_strip(work, rem)
+            strip_content(work, rem)
     return rem
 
 
@@ -187,7 +148,7 @@ def buchberger(ideal: Ideal, strategy: str = "normal", max_degree: int | None = 
     keyf = ideal.order.key
     basis: list[_GPoly] = []
     for p in sorted(ideal.generators, key=lambda q: keyf(q.leading_monomial(ideal.order))):
-        r = _normal_form_int(_int_terms(p), basis, keyf)
+        r = _normal_form_int(primitive(p.terms), basis, keyf)
         g = _make_gpoly(r, keyf)
         if g is not None:
             basis.append(g)

@@ -163,15 +163,15 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
     d = f.degree()
     if d < 2:
         raise ValueError("expected degree at least 2")
+    if kmax is None:
+        kmax = 3 * d
+    if kmax < 0:
+        raise ValueError("kmax must be non-negative")
     gens = [p for p in partials(f) if not p.is_zero()]
     if not gens:
         raise ValueError("all partial derivatives vanish")
     gb = buchberger(Ideal(tuple(gens)))
     numerator = hilbert_numerator(leading_ideal(gb))
-    if kmax is None:
-        kmax = 3 * d
-    if kmax < 0:
-        raise ValueError("kmax must be non-negative")
     tau_degree = 3 * (d - 2) + 1
     dims_full = series_dims(numerator, max(kmax, tau_degree))
     dims = dims_full[: kmax + 1]

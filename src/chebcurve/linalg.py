@@ -14,14 +14,21 @@ The exact elimination is fraction-free: rational rows are scaled to
 primitive integers, each update is a two-term cross-multiplication followed
 by content removal, and pivots are chosen by a Markowitz-style fill-in
 estimate.  Field-valued matrices (AlgNum entries) use exact division
-instead.  No floating point anywhere.
+instead.  ``primitive`` and ``strip_content`` are the content helpers of
+this elimination and of the Groebner-basis reductions.
+
+Solutions, not ranks, come from one incremental echelon over the entries'
+field (``Echelon``): pivot rows are normalized to lead 1 and keyed by their
+leading column.  It backs the unique solve and the search for the first
+linear dependency among a stream of vectors, which gives minimal
+polynomials and eliminants.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .numberfield import AlgNum, real_cyclotomic_field
@@ -38,14 +45,13 @@ def _entry(v):
     raise TypeError(f"unsupported matrix entry type {type(v).__name__}")
 
 
+def _to_row(row) -> Row:
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    return {c: _entry(v) for c, v in items if v}
+
+
 def _to_rows(matrix: Iterable) -> list[Row]:
-    rows: list[Row] = []
-    for row in matrix:
-        if isinstance(row, Mapping):
-            rows.append({c: _entry(v) for c, v in row.items() if v})
-        else:
-            rows.append({c: _entry(v) for c, v in enumerate(row) if v})
-    return rows
+    return [_to_row(row) for row in matrix]
 
 
 def _is_rational(rows: list[Row]) -> bool:
@@ -56,33 +62,31 @@ def _is_rational(rows: list[Row]) -> bool:
     return True
 
 
-def _scale_primitive(row: Row) -> Row:
+def strip_content(*rows: dict) -> None:
+    """Divide integer rows in place by the gcd of all their entries."""
+    g = 0
+    for row in rows:
+        for v in row.values():
+            g = gcd(g, v)
+            if g == 1:
+                return
+    if g > 1:
+        for row in rows:
+            for k in row:
+                row[k] //= g
+
+
+def primitive(row: dict) -> dict:
+    """The primitive integer multiple (positive content) of a row of rationals."""
     den = 1
     for v in row.values():
-        f = Fraction(v)
-        den = den * f.denominator // gcd(den, f.denominator)
+        den = lcm(den, Fraction(v).denominator)
     out = {}
-    g = 0
-    for c, v in row.items():
+    for k, v in row.items():
         f = Fraction(v)
-        iv = f.numerator * (den // f.denominator)
-        out[c] = iv
-        g = gcd(g, iv)
-    if g > 1:
-        for c in out:
-            out[c] //= g
+        out[k] = f.numerator * (den // f.denominator)
+    strip_content(out)
     return out
-
-
-def _strip_content(row: Row) -> None:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return
-    if g > 1:
-        for c in row:
-            row[c] //= g
 
 
 def _pick_pivot(rows: list[tuple[int, Row]], col_count: dict[int, int]) -> tuple[int, int]:
@@ -111,7 +115,7 @@ def _rank_exact(rows: list[Row]) -> int:
     """Rank of non-empty rows by exact elimination over Q or the entries' field."""
     rational = _is_rational(rows)
     if rational:
-        rows = [_scale_primitive(r) for r in rows]
+        rows = [primitive(r) for r in rows]
     active = list(enumerate(rows))
     col_count: dict[int, int] = {}
     for row in rows:
@@ -141,7 +145,7 @@ def _rank_exact(rows: list[Row]) -> int:
                             new[cc] = nv
                         else:
                             new.pop(cc, None)
-                    _strip_content(new)
+                    strip_content(new)
                     row = new
                 else:
                     f = rv / pv
@@ -322,6 +326,44 @@ def kernel_dim(matrix: Iterable, ncols: int) -> int:
     return ncols - rank(matrix)
 
 
+class Echelon:
+    """Incremental echelon form of sparse rows over Q or Q(2*cos(pi/d)).
+
+    Each pivot row is normalized to lead 1 and stored under its leading
+    column, so a row is reduced by subtracting multiples of the pivot rows
+    at its leading column until that column has no pivot.
+    """
+
+    def __init__(self):
+        self.pivots: dict[int, Row] = {}
+
+    def reduce(self, row: Row) -> Row:
+        """The residue of row: empty, or led by a column without a pivot."""
+        row = dict(row)
+        while row:
+            lead = min(row)
+            prow = self.pivots.get(lead)
+            if prow is None:
+                break
+            f = row[lead]
+            for c, v in prow.items():
+                nv = row.get(c, 0) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+        return row
+
+    def insert(self, row: Row) -> Row:
+        """Reduce row, keep a nonzero residue as a pivot row, return the residue."""
+        row = self.reduce(row)
+        if row:
+            lead = min(row)
+            inv = 1 / row[lead]
+            self.pivots[lead] = {c: v * inv for c, v in row.items()}
+        return row
+
+
 def solve_unique(matrix: Iterable, rhs: Sequence, ncols: int) -> list:
     """Solve A x = rhs when the solution exists and is unique.
 
@@ -332,41 +374,43 @@ def solve_unique(matrix: Iterable, rhs: Sequence, ncols: int) -> list:
     rhs = [Fraction(b) if isinstance(b, int) else b for b in rhs]
     if len(rhs) != len(rows):
         raise ValueError("right-hand side length does not match row count")
-    RHS = ncols  # sentinel column for the augmented part
-    pivots: dict[int, Row] = {}
+    echelon = Echelon()
     for row, b in zip(rows, rhs):
-        aug = dict(row)
         if b:
-            aug[RHS] = b
-        # reduce against existing pivot rows
-        for c in sorted(k for k in aug if k != RHS):
-            if c in pivots and aug.get(c):
-                f = aug[c]
-                for cc, v in pivots[c].items():
-                    nv = aug.get(cc, 0) - f * v
-                    if nv:
-                        aug[cc] = nv
-                    else:
-                        aug.pop(cc, None)
-        lead = min((k for k in aug if k != RHS), default=None)
-        if lead is None:
-            if aug.get(RHS):
-                raise ArithmeticError("inconsistent linear system")
-            continue
-        # normalize and eliminate the new pivot from earlier rows
-        pv = aug[lead]
-        norm = {cc: v / pv for cc, v in aug.items()}
-        for c, prow in pivots.items():
-            f = prow.get(lead)
-            if f:
-                for cc, v in norm.items():
-                    nv = prow.get(cc, 0) - f * v
-                    if nv:
-                        prow[cc] = nv
-                    else:
-                        prow.pop(cc, None)
-        pivots[lead] = norm
-    if len(pivots) < ncols:
+            row[ncols] = b  # the right-hand side is column ncols
+        residue = echelon.insert(row)
+        if residue and min(residue) == ncols:
+            raise ArithmeticError("inconsistent linear system")
+    if len(echelon.pivots) < ncols:
         raise ValueError("linear system does not determine a unique solution")
-    zero = Fraction(0)
-    return [pivots[c].get(RHS, zero) for c in range(ncols)]
+    x: dict[int, object] = {}
+    for c in reversed(range(ncols)):
+        prow = echelon.pivots[c]
+        value = prow.get(ncols, Fraction(0))
+        for k, v in prow.items():
+            if c < k < ncols:
+                value = value - v * x[k]
+        x[c] = value
+    return [x[c] for c in range(ncols)]
+
+
+def first_dependency(vectors: Iterable, ncols: int, echelon: Echelon | None = None) -> list | None:
+    """The first linear dependency among vectors with columns below ncols.
+
+    Vector k is tagged with a unit in column ncols + k and inserted into an
+    echelon; the first one whose own part reduces to zero gives coefficients
+    c_0..c_k with sum c_i * v_i = 0 and c_k = 1; None when the vectors are
+    independent.  Vectors are consumed one at a time.  The rows of the
+    vectors before the dependency stay in ``echelon`` when one is passed,
+    so that membership in their span can be tested afterwards.
+    """
+    if echelon is None:
+        echelon = Echelon()
+    for k, vec in enumerate(vectors):
+        row = _to_row(vec)
+        row[ncols + k] = Fraction(1)
+        residue = echelon.reduce(row)
+        if min(residue) >= ncols:
+            return [residue.get(ncols + i, Fraction(0)) for i in range(k + 1)]
+        echelon.insert(residue)
+    return None

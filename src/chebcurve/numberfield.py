@@ -239,6 +239,8 @@ def real_cyclotomic_field(d: int) -> FieldSpec:
     The minimal polynomial is found by linear algebra: powers of the coset
     of t + 1/t in Q[t]/(Phi_2d) are stacked until the first dependency.
     """
+    from .linalg import first_dependency  # linalg imports this module
+
     if d < 2:
         raise ValueError("require d >= 2")
     phi = cyclotomic(2 * d)
@@ -246,30 +248,19 @@ def real_cyclotomic_field(d: int) -> FieldSpec:
     gamma = upoly.poly_mod(upoly.add(upoly.T, _t_inverse_mod(phi)), phi)
     expected = _totient(2 * d) // 2
 
-    def as_vector(p: Coeffs) -> list[Fraction]:
-        return list(p) + [Fraction(0)] * (n - len(p))
+    def powers():
+        power = upoly.ONE
+        for _ in range(n + 1):
+            yield power
+            power = upoly.poly_mod(upoly.mul(power, gamma), phi)
 
-    # Incremental echelon over the power vectors 1, gamma, gamma^2, ...
-    basis: list[tuple[int, list[Fraction], list[Fraction]]] = []
-    power = upoly.ONE
-    for i in range(n + 1):
-        row = as_vector(power)
-        combo = [Fraction(0)] * (n + 1)
-        combo[i] = Fraction(1)
-        for piv, brow, bcombo in basis:
-            if row[piv]:
-                f = row[piv] / brow[piv]
-                row = [a - f * b for a, b in zip(row, brow)]
-                combo = [a - f * b for a, b in zip(combo, bcombo)]
-        pivot = next((j for j, a in enumerate(row) if a), None)
-        if pivot is None:
-            minpoly = upoly.monic(upoly.upoly(combo[: i + 1]))
-            if upoly.degree(minpoly) != expected:
-                raise SelfCheckError("minimal polynomial has unexpected degree")
-            return FieldSpec(d=d, minpoly=minpoly, degree=expected)
-        basis.append((pivot, row, combo))
-        power = upoly.poly_mod(upoly.mul(power, gamma), phi)
-    raise SelfCheckError("no dependency found among generator powers")
+    combo = first_dependency(powers(), n)
+    if combo is None:
+        raise SelfCheckError("no dependency found among generator powers")
+    minpoly = upoly.upoly(combo)
+    if upoly.degree(minpoly) != expected:
+        raise SelfCheckError("minimal polynomial has unexpected degree")
+    return FieldSpec(d=d, minpoly=minpoly, degree=expected)
 
 
 def real_subfield_minpoly(d: int) -> Coeffs:

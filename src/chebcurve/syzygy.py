@@ -5,6 +5,11 @@ a1*fx + a2*fy + a3*fz = 0.  Dimensions are kernel dimensions of exact
 degree matrices; an independent count comes from the Hilbert data by
 rank-nullity, and the distinguished non-Koszul relations are constructed
 explicitly by dividing the companion curve by one conic factor.
+
+Every matrix here is built by ``macaulay_matrix``, the degree slice of
+(c_1, ..., c_k) -> sum c_i * v_i for tuples of forms v_i: the Jacobian
+degree matrices, the solve for a non-Koszul relation and the matrices of
+the relation module.
 """
 
 from __future__ import annotations
@@ -14,18 +19,9 @@ from functools import lru_cache
 
 from . import linalg
 from .chebyshev import curve_affine, curve_polynomial, minus_conics
-from .hilbert import milnor_profile
+from .hilbert import milnor_profile, series_dims
 from .numberfield import SelfCheckError, real_cyclotomic_field
-from .polyring import (
-    GREVLEX,
-    Monomial,
-    MPoly,
-    exact_div,
-    homogenize,
-    mono_mul,
-    monomial_basis,
-    partials,
-)
+from .polyring import MPoly, exact_div, homogenize, mono_mul, monomial_basis, partials
 
 
 def _dim_homog(e: int) -> int:
@@ -38,7 +34,8 @@ class DegreeMatrix:
     """Matrix of (a1, a2, a3) -> a1*fx + a2*fy + a3*fz restricted to degree r.
 
     Columns come in three blocks of the degree-r monomial basis, rows are
-    indexed by the monomials of degree r + d - 1.
+    indexed by the monomials of degree r + d - 1, both in monomial_basis
+    order.
     """
 
     d: int
@@ -52,31 +49,28 @@ class DegreeMatrix:
         return self.column_blocks * self.columns_per_block
 
 
-def _degree_rows(generators: list[MPoly], r: int) -> tuple[list[dict[int, object]], int]:
-    """Sparse rows of the combination map restricted to coefficient degree r."""
-    cols = monomial_basis(r, nvars=3)
-    target_index: dict[Monomial, int] = {}
-    rows: list[dict[int, object]] = []
+def macaulay_matrix(
+    generators: list[tuple[tuple[MPoly, ...], int]], degree: int
+) -> tuple[list[dict[int, object]], int]:
+    """Sparse rows and column count of (c_1, ..., c_k) -> sum c_i * v_i.
 
-    def row_of(mono: Monomial) -> dict[int, object]:
-        idx = target_index.get(mono)
-        if idx is None:
-            idx = len(rows)
-            target_index[mono] = idx
-            rows.append({})
-        return rows[idx]
-
+    Each generator is (v_i, e_i): a tuple of component forms and the degree
+    e_i of its multiplier c_i (none when e_i < 0), with every component
+    times c_i of the given degree.  Rows are indexed by (component, monomial
+    of that degree), columns by (generator, multiplier monomial), both in
+    monomial_basis order.
+    """
+    targets = monomial_basis(degree, nvars=3)
+    index = {m: i for i, m in enumerate(targets)}
+    ncomp = len(generators[0][0])
+    rows: list[dict[int, object]] = [{} for _ in range(ncomp * len(targets))]
     col = 0
-    for g in generators:
-        for u in cols:
-            for m, c in g.terms.items():
-                row = row_of(mono_mul(u, m))
-                prev = row.get(col)
-                acc = c if prev is None else prev + c
-                if acc:
-                    row[col] = acc
-                else:
-                    row.pop(col, None)
+    for components, e in generators:
+        for u in monomial_basis(e, nvars=3) if e >= 0 else ():
+            for k, comp in enumerate(components):
+                offset = k * len(targets)
+                for m, c in comp.terms.items():
+                    rows[offset + index[mono_mul(u, m)]][col] = c
             col += 1
     return rows, col
 
@@ -85,14 +79,16 @@ def jacobian_degree_matrix(f: MPoly, r: int) -> DegreeMatrix:
     """Degree-r matrix of the Jacobian combination map of f."""
     if r < 0:
         raise ValueError("degree must be non-negative")
-    gens = list(partials(f))
-    rows, ncols = _degree_rows(gens, r)
-    per_block = ncols // len(gens)
+    if not f.is_homogeneous():
+        raise ValueError("expected a homogeneous polynomial")
+    gens = partials(f)
+    d = f.degree()
+    rows, ncols = macaulay_matrix([((g,), r) for g in gens], r + d - 1)
     return DegreeMatrix(
-        d=f.degree(),
+        d=d,
         r=r,
         column_blocks=len(gens),
-        columns_per_block=per_block,
+        columns_per_block=ncols // len(gens),
         rows=tuple(rows),
     )
 
@@ -106,9 +102,8 @@ def syzygy_dim(f: MPoly, r: int) -> int:
 def syzygy_dim_from_hilbert(f: MPoly, r: int) -> int:
     """Independent syzygy count by rank-nullity against the Hilbert data."""
     d = f.degree()
-    prof = milnor_profile(f, kmax=max(3 * d, r + d - 1))
     s = r + d - 1
-    dim_jacobian = _dim_homog(s) - prof.dims[s]
+    dim_jacobian = _dim_homog(s) - series_dims(milnor_profile(f).hilbert.numerator, s)[s]
     return 3 * _dim_homog(r) - dim_jacobian
 
 
@@ -137,22 +132,12 @@ def nontrivial_syzygy(d: int, j: int) -> tuple[MPoly, MPoly, MPoly]:
     fy = fy.map_coefficients(field.from_rational)
     fz = fz.map_coefficients(field.from_rational)
 
-    rhs_poly = -(a3 * fz)
+    # the last column holds -(a3 * fz), the right-hand side
+    gens = [((fx,), d - 2), ((fy,), d - 2), ((-(a3 * fz),), 0)]
+    rows, ncols = macaulay_matrix(gens, 2 * d - 3)
+    rhs = [row.pop(ncols - 1, field.zero()) for row in rows]
+    sol = linalg.solve_unique(rows, rhs, ncols - 1)
     unknown_monos = monomial_basis(d - 2, nvars=3)
-    target_monos = monomial_basis(2 * d - 3, nvars=3)
-    target_index = {m: i for i, m in enumerate(target_monos)}
-    ncols = 2 * len(unknown_monos)
-    rows: list[dict[int, object]] = [{} for _ in target_monos]
-    col = 0
-    for g in (fx, fy):
-        for u in unknown_monos:
-            for m, c in g.terms.items():
-                rows[target_index[mono_mul(u, m)]][col] = c
-            col += 1
-    rhs = [field.zero() for _ in target_monos]
-    for m, c in rhs_poly.terms.items():
-        rhs[target_index[m]] = c
-    sol = linalg.solve_unique(rows, rhs, ncols)
     n = len(unknown_monos)
     a1 = MPoly(3, {m: sol[i] for i, m in enumerate(unknown_monos)})
     a2 = MPoly(3, {m: sol[n + i] for i, m in enumerate(unknown_monos)})
@@ -180,29 +165,9 @@ def relation_module_kernel_dim(d: int, r: int) -> tuple[int, int]:
     ]
     degrees = [d - 2] * n_extra + [d - 1] * 3
 
-    target_monos = monomial_basis(r, nvars=3)
-    target_index = {m: i for i, m in enumerate(target_monos)}
-    nrows = 3 * len(target_monos)
-    rows: list[dict[int, object]] = [{} for _ in range(nrows)]
-    col = 0
-    for rel, rel_deg in zip(rels, degrees):
-        coeff_deg = r - rel_deg
-        if coeff_deg < 0:
-            continue
-        for u in monomial_basis(coeff_deg, nvars=3):
-            for comp_idx, comp in enumerate(rel):
-                for m, c in comp.terms.items():
-                    ridx = comp_idx * len(target_monos) + target_index[mono_mul(u, m)]
-                    row = rows[ridx]
-                    prev = row.get(col)
-                    acc = c if prev is None else prev + c
-                    if acc:
-                        row[col] = acc
-                    else:
-                        row.pop(col, None)
-            col += 1
+    rows, ncols = macaulay_matrix([(rel, r - deg) for rel, deg in zip(rels, degrees)], r)
     rank = linalg.rank(rows)
-    return rank, col - rank
+    return rank, ncols - rank
 
 
 def expected_relation_kernel_dim(d: int, r: int) -> int:
@@ -280,7 +245,8 @@ def verify_resolution(d: int, r_max: int | None = None, second_level: bool = Tru
     if second_level:
         for r in range(d - 2, d + 3):
             rank, ker = relation_module_kernel_dim(d, r)
-            rank_checks.append(DegreeCheck(r=r, got=rank, expected=syzygy_dim(f, r)))
+            expected = syz_checks[r].got if r <= r_max else syzygy_dim(f, r)
+            rank_checks.append(DegreeCheck(r=r, got=rank, expected=expected))
             kernel_checks.append(DegreeCheck(r=r, got=ker, expected=expected_relation_kernel_dim(d, r)))
     return ResolutionReport(
         d=d,

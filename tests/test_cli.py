@@ -113,6 +113,23 @@ class TestSyzygy:
         for e in rep["results"]["per_degree"]:
             assert e["dimension"] == e["expected_from_hilbert"]
 
+    def test_one_groebner_basis_for_all_degrees(self, capsys, monkeypatch, quartic_file):
+        # every expected_from_hilbert value reads the one cached Milnor profile
+        from chebcurve import hilbert
+
+        calls = []
+        buchberger = hilbert.buchberger
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return buchberger(*args, **kwargs)
+
+        monkeypatch.setattr(hilbert, "buchberger", counted)
+        hilbert.milnor_profile.cache_clear()
+        rep = run_json(capsys, "syzygy", quartic_file, "--rmax", "12")
+        assert len(rep["results"]["per_degree"]) == 13
+        assert len(calls) == 1
+
     def test_negative_rmax_exit(self, capsys, quartic_file):
         rc, out, err = run(capsys, "syzygy", quartic_file, "--rmax", "-1")
         assert rc == 2 and out == ""

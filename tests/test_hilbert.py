@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chebcurve import hilbert
 from chebcurve.chebyshev import curve_polynomial
 from chebcurve.hilbert import (
     chebyshev_milnor_numerator,
@@ -173,6 +174,14 @@ class TestMilnorProfile:
     def test_rejects_nonhomogeneous(self):
         with pytest.raises(ValueError):
             milnor_profile(parse("x^2 + y"))
+
+    def test_negative_kmax_refused_before_any_work(self, monkeypatch):
+        def no_buchberger(ideal):
+            raise AssertionError("buchberger ran before the input check")
+
+        monkeypatch.setattr(hilbert, "buchberger", no_buchberger)
+        with pytest.raises(ValueError, match="kmax"):
+            milnor_profile(curve_polynomial(4), kmax=-1)
 
     def test_kmax_override(self):
         prof = milnor_profile(curve_polynomial(4), kmax=20)

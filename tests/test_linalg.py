@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 from chebcurve import interp, linalg, syzygy
 from chebcurve.chebyshev import curve_polynomial
 from chebcurve.linalg import (
+    Echelon,
     _modulus,
     _rank_exact,
     _reaches_rank_mod_p,
     _reduce_mod_p,
     _to_rows,
+    first_dependency,
     kernel_dim,
+    primitive,
     rank,
     solve_unique,
+    strip_content,
 )
 from chebcurve.numberfield import real_cyclotomic_field
 
@@ -113,6 +117,79 @@ class TestSolveUnique:
             return
         x = solve_unique(matrix, [Fraction(b) for b in rhs], 3)
         assert [sum(row[j] * x[j] for j in range(3)) for row in matrix] == rhs
+
+
+class TestContent:
+    def test_primitive_clears_denominators_and_content(self):
+        assert primitive({0: Fraction(1, 2), 3: Fraction(-3, 4)}) == {0: 2, 3: -3}
+        assert primitive({1: -6, 2: 4}) == {1: -3, 2: 2}
+
+    def test_strip_content_is_joint(self):
+        a, b = {0: 6, 1: -4}, {7: 10}
+        strip_content(a, b)
+        assert (a, b) == ({0: 3, 1: -2}, {7: 5})
+        c, e = {0: 6}, {1: 9}
+        strip_content(c)
+        strip_content(e)
+        assert (c, e) == ({0: 1}, {1: 1})
+
+
+class TestEchelon:
+    def test_reduce_and_insert(self):
+        ech = Echelon()
+        assert ech.insert({0: Fraction(2), 1: Fraction(4)}) == {0: 2, 1: 4}
+        assert ech.pivots == {0: {0: 1, 1: 2}}
+        assert ech.reduce({0: Fraction(1), 1: Fraction(3)}) == {1: 1}
+        assert ech.insert({0: Fraction(3), 1: Fraction(6)}) == {}
+        assert list(ech.pivots) == [0]
+
+
+class TestFirstDependency:
+    def test_golden_ratio_minimal_polynomial(self):
+        # g = 2*cos(pi/5) satisfies g^2 - g - 1 = 0 and nothing of degree 1
+        g = real_cyclotomic_field(5).gen()
+        powers = [(g**k).coeffs for k in range(4)]
+        assert first_dependency(powers, 2) == [-1, -1, 1]
+
+    def test_stops_at_first_dependency(self):
+        def vectors():
+            yield [1, 0]
+            yield [2, 0]
+            raise AssertionError("read past the first dependency")
+
+        assert first_dependency(vectors(), 2) == [-2, 1]
+
+    def test_field_entries(self):
+        field = real_cyclotomic_field(4)
+        g = field.gen()  # g^2 = 2, so [2, g] = g * [g, 1]
+        assert first_dependency([[g, field.one()], [2, g]], 2) == [-g, 1]
+
+    def test_independent_vectors(self):
+        assert first_dependency([[1, 0, 0], [1, 1, 0], [0, 0, 5]], 3) is None
+        assert first_dependency([], 3) is None
+
+    def test_span_membership_after_dependency(self):
+        ech = Echelon()
+        assert first_dependency([[1, 1, 0], [2, 2, 0]], 3, ech) == [-2, 1]
+        assert all(c >= 3 for c in ech.reduce({0: Fraction(5), 1: Fraction(5)}))
+        assert any(c < 3 for c in ech.reduce({1: Fraction(1)}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=3, max_size=3),
+            max_size=5,
+        )
+    )
+    def test_dependency_property(self, vectors):
+        combo = first_dependency(vectors, 3)
+        if combo is None:
+            assert rank(vectors) == len(vectors)
+            return
+        k = len(combo) - 1
+        assert combo[k] == 1
+        assert all(sum(c * v[j] for c, v in zip(combo, vectors)) == 0 for j in range(3))
+        assert rank(vectors[:k]) == k
 
 
 def _entries(domain):

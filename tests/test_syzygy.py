@@ -1,12 +1,17 @@
 """Syzygy dimensions, explicit relations, resolution cross-checks."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from chebcurve import linalg, syzygy
 from chebcurve.chebyshev import build, curve_polynomial, minus_conics
 from chebcurve.numberfield import real_cyclotomic_field
-from chebcurve.polyring import MPoly, parse, partials
+from chebcurve.polyring import MPoly, monomial_basis, parse, partials
 from chebcurve.syzygy import (
     expected_relation_kernel_dim,
+    jacobian_degree_matrix,
     nontrivial_syzygy,
     relation_module_kernel_dim,
     syzygy_dim,
@@ -19,6 +24,91 @@ def koszul_count(d, r):
     """Syzygy dimension of a regular sequence of three degree-(d-1) forms."""
     dim = lambda e: (e + 2) * (e + 1) // 2 if e >= 0 else 0
     return 3 * dim(r - d + 1) - dim(r - 2 * d + 2)
+
+
+def combination(generators, coeffs):
+    """sum c_i * v_i by MPoly arithmetic, with the multiplier of generator
+    (v_i, e_i) spelled out in monomial_basis(e_i) order from coeffs."""
+    it = iter(coeffs)
+    total = [MPoly.zero(3)] * len(generators[0][0])
+    for components, e in generators:
+        if e < 0:
+            continue
+        mult = MPoly(3, {u: next(it) for u in monomial_basis(e, nvars=3)})
+        total = [t + mult * comp for t, comp in zip(total, components)]
+    assert next(it, None) is None
+    return total
+
+
+def check_against_mpoly(rows, ncols, generators, degree, seed=0):
+    """A random combination through the matrix equals the MPoly combination,
+    coefficient by coefficient in (component, monomial_basis(degree)) order."""
+    rng = random.Random(seed)
+    coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(ncols)]
+    image = [sum((v * coeffs[c] for c, v in row.items()), Fraction(0)) for row in rows]
+    targets = monomial_basis(degree, nvars=3)
+    expected = [p.coefficient(m) for p in combination(generators, coeffs) for m in targets]
+    assert image == expected
+
+
+class TestMacaulayMatrix:
+    @pytest.mark.parametrize(
+        "text",
+        ["8*x^4+8*y^4-8*x^2*z^2-8*y^2*z^2+2*z^4", "x^5 - 3*x*y^3*z + y*z^4 - 2*z^5"],
+        ids=["T4", "quintic"],
+    )
+    @pytest.mark.parametrize("r", [0, 2, 5])
+    def test_jacobian_matrix(self, text, r):
+        f = parse(text)
+        mat = jacobian_degree_matrix(f, r)
+        gens = [((g,), r) for g in partials(f)]
+        check_against_mpoly(mat.rows, mat.ncols, gens, r + f.degree() - 1, seed=r)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_nontrivial_syzygy_matrix(self, monkeypatch, d):
+        captured = []
+        solve = linalg.solve_unique
+
+        def capture(rows, rhs, ncols):
+            captured.append((rows, rhs, ncols))
+            return solve(rows, rhs, ncols)
+
+        monkeypatch.setattr(linalg, "solve_unique", capture)
+        nontrivial_syzygy.cache_clear()
+        try:
+            _, _, a3 = nontrivial_syzygy(d, 1)
+        finally:
+            nontrivial_syzygy.cache_clear()
+        ((rows, rhs, ncols),) = captured
+        field = real_cyclotomic_field(d)
+        fx, fy, fz = (p.map_coefficients(field.from_rational) for p in partials(curve_polynomial(d)))
+        check_against_mpoly(rows, ncols, [((fx,), d - 2), ((fy,), d - 2)], 2 * d - 3)
+        targets = monomial_basis(2 * d - 3, nvars=3)
+        assert rhs == [(-(a3 * fz)).coefficient(m) for m in targets]
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_relation_module_matrix(self, monkeypatch, d):
+        captured = []
+        rank = linalg.rank
+
+        def capture(rows):
+            captured.append(rows)
+            return rank(rows)
+
+        monkeypatch.setattr(linalg, "rank", capture)
+        field = real_cyclotomic_field(d)
+        fx, fy, fz = (p.map_coefficients(field.from_rational) for p in partials(curve_polynomial(d)))
+        zero = MPoly.zero(3)
+        n_extra = len(minus_conics(d))
+        rels = [nontrivial_syzygy(d, j) for j in range(1, n_extra + 1)]
+        rels += [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
+        degrees = [d - 2] * n_extra + [d - 1] * 3
+        for r in range(d - 2, d + 3):
+            captured.clear()
+            rk, ker = relation_module_kernel_dim(d, r)
+            (rows,) = captured
+            gens = [(rel, r - deg) for rel, deg in zip(rels, degrees)]
+            check_against_mpoly(rows, rk + ker, gens, r, seed=r)
 
 
 class TestSyzygyDim:
@@ -107,6 +197,27 @@ class TestVerifyResolution:
         assert report.ok
         assert report.first_syzygy_degree == first_degree
         assert report.first_syzygy_count == first_count
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_syzygy_dims_computed_once_per_degree(self, monkeypatch, d):
+        calls = []
+        dim = syzygy.syzygy_dim
+
+        def counted(f, r):
+            calls.append(r)
+            return dim(f, r)
+
+        monkeypatch.setattr(syzygy, "syzygy_dim", counted)
+        assert verify_resolution(d).ok
+        assert sorted(calls) == list(range(2 * d + 1))
+
+    def test_rank_checks_beyond_r_max(self):
+        # degrees above r_max are not in the per-degree loop and are computed
+        d = 5
+        report = verify_resolution(d, r_max=d - 1)
+        assert report.ok
+        f = curve_polynomial(d)
+        assert [c.expected for c in report.rank_checks] == [syzygy_dim(f, r) for r in range(d - 2, d + 3)]
 
     def test_koszul_trio_enters_at_d_minus_1(self):
         f = curve_polynomial(4)
