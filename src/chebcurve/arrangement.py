@@ -96,14 +96,16 @@ def _shape_eliminant(
     dim = len(standard)
 
     def nf_row(p: MPoly) -> dict[int, Fraction]:
-        return {index[m]: Fraction(c) for m, c in normal_form(p, gb).terms.items()}
+        return {index[m]: c for m, c in normal_form(p, gb).terms.items()}
 
     def powers():
+        # x^(k+1) and x * NF(x^k) have the same normal form
         v = MPoly.variable(var, 2)
         power = MPoly.constant(Fraction(1), 2)
         for _ in range(dim + 1):
-            yield nf_row(power)
-            power = power * v
+            row = nf_row(power)
+            yield row
+            power = MPoly(2, {standard[i]: c for i, c in row.items()}) * v
 
     echelon = linalg.Echelon()
     combo = linalg.first_dependency(powers(), dim, echelon)

@@ -1,7 +1,8 @@
 """Command-line interface with deterministic JSON and text reports.
 
 Exit codes: 0 success, 1 verification failure (a failed verify item or
-a failed internal self-check), 2 input error, 3 precondition violation.
+a failed internal self-check), 2 input error, 3 precondition violation
+(including --kmax above 4d or --rmax above 3d for an input of degree d).
 Reports are canonical: keys sorted, integers exact, rationals as "p/q"
 strings, field elements as coefficient arrays with their minimal
 polynomial; timings live under the volatile key so the rest of the payload
@@ -37,6 +38,9 @@ EXIT_PRECONDITION = 3
 GROEBNER_MAX_D = 8
 FACTOR_MAX_D = 10
 SURJECTIVITY_MAX_D = 6
+# largest --kmax and --rmax, as multiples of the input degree d
+KMAX_PER_DEGREE = 4
+RMAX_PER_DEGREE = 3
 
 
 def _encode(value):
@@ -151,11 +155,22 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _over_budget(flag: str, value: int | None, per_degree: int, d: int) -> bool:
+    """Report a --kmax or --rmax above per_degree * d, before any work."""
+    limit = per_degree * d
+    if value is None or value <= limit:
+        return False
+    sys.stderr.write(f"error: {flag} must be at most {per_degree}d = {limit} for degree {d}\n")
+    return True
+
+
 def cmd_hilbert(args) -> int:
     t0 = time.perf_counter()
     f = _read_poly(args.file)
     if f.is_zero() or not f.is_homogeneous() or f.degree() < 2:
         sys.stderr.write("error: input must be homogeneous of degree >= 2\n")
+        return EXIT_PRECONDITION
+    if _over_budget("--kmax", args.kmax, KMAX_PER_DEGREE, f.degree()):
         return EXIT_PRECONDITION
     t1 = time.perf_counter()
     prof = milnor_profile(f, kmax=args.kmax)
@@ -183,6 +198,8 @@ def cmd_syzygy(args) -> int:
     f = _read_poly(args.file)
     if f.is_zero() or not f.is_homogeneous() or f.degree() < 2:
         sys.stderr.write("error: input must be homogeneous of degree >= 2\n")
+        return EXIT_PRECONDITION
+    if _over_budget("--rmax", args.rmax, RMAX_PER_DEGREE, f.degree()):
         return EXIT_PRECONDITION
     r_max = args.rmax if args.rmax is not None else 2 * f.degree()
     per_degree = []

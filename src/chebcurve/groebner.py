@@ -2,9 +2,10 @@
 
 Internally polynomials are primitive integer term-dicts (content removed
 after every reduction), which keeps the Jacobian-ideal coefficient swell of
-high-degree Chebyshev curves under control.  The returned reduced basis is
-monic over Q and canonical, so it is independent of the pair-selection
-strategy.
+high-degree Chebyshev curves under control.  There is one reduction loop,
+``_normal_form_int``; ``normal_form`` is its rational view.  The returned
+reduced basis is monic over Q and canonical, so it is independent of the
+pair-selection strategy.
 """
 
 from __future__ import annotations
@@ -73,10 +74,17 @@ def _make_gpoly(terms: dict[Monomial, int], keyf) -> _GPoly | None:
     return _GPoly(terms, lm, terms[lm])
 
 
-def _normal_form_int(terms: dict[Monomial, int], basis: list[_GPoly], keyf) -> dict[Monomial, int]:
-    """Full normal form of an integer term-dict against the basis."""
+def _normal_form_int(
+    terms: dict[Monomial, int], basis: list[_GPoly], keyf
+) -> tuple[dict[Monomial, int], Fraction]:
+    """Full normal form of an integer term-dict against the basis.
+
+    Returns (rem, scale): rem is scale times the remainder over Q, since
+    the reduction cross-multiplies instead of dividing and strips content.
+    """
     work = dict(terms)
     rem: dict[Monomial, int] = {}
+    scale = Fraction(1)
     steps = 0
     while work:
         m = max(work, key=keyf)
@@ -95,6 +103,7 @@ def _normal_form_int(terms: dict[Monomial, int], basis: list[_GPoly], keyf) -> d
         if a < 0:
             a, b = -a, -b
         if a != 1:
+            scale *= a
             for k in work:
                 work[k] *= a
             for k in rem:
@@ -112,8 +121,8 @@ def _normal_form_int(terms: dict[Monomial, int], basis: list[_GPoly], keyf) -> d
         steps += 1
         if steps % 64 == 0:
             # periodic strip keeps the cross-multiplied integers small
-            strip_content(work, rem)
-    return rem
+            scale /= strip_content(work, rem)
+    return rem, scale
 
 
 def _s_poly(gi: _GPoly, gj: _GPoly) -> dict[Monomial, int]:
@@ -148,7 +157,7 @@ def buchberger(ideal: Ideal, strategy: str = "normal", max_degree: int | None = 
     keyf = ideal.order.key
     basis: list[_GPoly] = []
     for p in sorted(ideal.generators, key=lambda q: keyf(q.leading_monomial(ideal.order))):
-        r = _normal_form_int(primitive(p.terms), basis, keyf)
+        r, _ = _normal_form_int(primitive(p.terms), basis, keyf)
         g = _make_gpoly(r, keyf)
         if g is not None:
             basis.append(g)
@@ -209,7 +218,7 @@ def buchberger(ideal: Ideal, strategy: str = "normal", max_degree: int | None = 
                     break
         if skip:
             continue
-        r = _normal_form_int(_s_poly(gi, gj), basis, keyf)
+        r, _ = _normal_form_int(_s_poly(gi, gj), basis, keyf)
         g = _make_gpoly(r, keyf)
         if g is None:
             continue
@@ -232,7 +241,7 @@ def _reduce_basis(basis: list[_GPoly], order: MonomialOrder, nvars: int) -> tupl
     reduced: list[MPoly] = []
     for idx, g in enumerate(chosen):
         others = chosen[:idx] + chosen[idx + 1 :]
-        terms = _normal_form_int(dict(g.terms), others, keyf)
+        terms, _ = _normal_form_int(dict(g.terms), others, keyf)
         lm = max(terms, key=keyf)
         lc = terms[lm]
         reduced.append(MPoly(nvars, {m: Fraction(c, lc) for m, c in terms.items()}))
@@ -241,37 +250,21 @@ def _reduce_basis(basis: list[_GPoly], order: MonomialOrder, nvars: int) -> tupl
 
 
 def normal_form(p: MPoly, G: GroebnerBasis) -> MPoly:
-    """Remainder of p on division by the basis; p minus the result is in the ideal."""
+    """Remainder of rational p on division by the basis; p minus the result
+    is in the ideal.
+
+    The primitive multiple of p is reduced against the primitive basis
+    elements, and the remainder is scaled back.
+    """
     if p.is_zero():
         return p
     keyf = G.order.key
-    lead = [(g.leading_monomial(G.order), g) for g in G.elements]
-    work = dict(p.terms)
-    rem: dict[Monomial, object] = {}
-    while work:
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        hit = None
-        for lm, g in lead:
-            if mono_divides(lm, m):
-                hit = (lm, g)
-                break
-        if hit is None:
-            rem[m] = c
-            continue
-        lm, g = hit
-        q = mono_div(m, lm)
-        f = c / g.terms[lm]
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            mm = mono_mul(q, gm)
-            nv = work.get(mm, Fraction(0)) - f * gc
-            if nv:
-                work[mm] = nv
-            else:
-                work.pop(mm, None)
-    return MPoly(p.nvars, rem)
+    basis = [_make_gpoly(primitive(g.terms), keyf) for g in G.elements]
+    terms = primitive(p.terms)
+    m = next(iter(terms))
+    rem, scale = _normal_form_int(terms, basis, keyf)
+    scale *= terms[m] / Fraction(p.terms[m])  # terms is p times this factor
+    return MPoly(p.nvars, {k: c / scale for k, c in rem.items()})
 
 
 def leading_ideal(G: GroebnerBasis) -> tuple[Monomial, ...]:

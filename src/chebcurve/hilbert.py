@@ -5,7 +5,9 @@ pivot recursion; graded dimensions come from expanding P(t)/(1-t)^3, and
 the Tjurina number of a reduced plane curve is read off at the general
 stabilization bound 3(d-2)+1.  A non-reduced curve has a singular curve
 component, so (1-t)^2 does not divide P(t) and the Tjurina number is
-infinite; it is reported as absent.
+infinite; it is reported as absent.  Numerators are integer polynomials
+(ascending coefficient tuples) built with ``upoly``'s arithmetic, which
+keeps them integral.
 """
 
 from __future__ import annotations
@@ -13,39 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import upoly
 from .groebner import Ideal, buchberger, leading_ideal
 from .polyring import Monomial, MPoly, mono_divides, partials
 
 IntPoly = tuple[int, ...]
-
-
-def _trim(cs: list[int]) -> IntPoly:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _padd(p: IntPoly, q: IntPoly) -> IntPoly:
-    out = list(p) + [0] * max(0, len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _pshift(p: IntPoly, k: int) -> IntPoly:
-    return _trim([0] * k + list(p)) if p else ()
-
-
-def _pmul(p: IntPoly, q: IntPoly) -> IntPoly:
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _trim(out)
 
 
 def minimal_monomial_generators(gens) -> tuple[Monomial, ...]:
@@ -74,7 +48,7 @@ def _mono_numerator(gens: tuple[Monomial, ...]) -> IntPoly:
         # pairwise coprime generators: product formula
         out: IntPoly = (1,)
         for m in gens:
-            out = _pmul(out, _trim([1] + [0] * (sum(m) - 1) + [-1]))
+            out = upoly.mul(out, (1,) + (0,) * (sum(m) - 1) + (-1,))
         return out
     v = counts.index(max(counts))
     exps = sorted(m[v] for m in gens if m[v])
@@ -84,7 +58,7 @@ def _mono_numerator(gens: tuple[Monomial, ...]) -> IntPoly:
     colon_side = minimal_monomial_generators(
         tuple(max(m[i] - pivot[i], 0) for i in range(nvars)) for m in gens
     )
-    return _padd(_mono_numerator(sum_side), _pshift(_mono_numerator(colon_side), e))
+    return upoly.add(_mono_numerator(sum_side), upoly.shift(_mono_numerator(colon_side), e))
 
 
 def hilbert_numerator(gens) -> IntPoly:
@@ -119,7 +93,7 @@ def _divide_by_one_minus_t(p: IntPoly) -> IntPoly | None:
     if q[-1] != 0:
         return None
     q.pop()
-    return _trim(q)
+    return upoly.trim(q)
 
 
 @dataclass(frozen=True)
@@ -217,7 +191,7 @@ def chebyshev_milnor_numerator(d: int) -> IntPoly:
         bump(4 * m, 2)
         bump(4 * m + 1, -m)
     top = max(out)
-    return _trim([out.get(i, 0) for i in range(top + 1)])
+    return upoly.trim([out.get(i, 0) for i in range(top + 1)])
 
 
 def expected_node_count(d: int) -> int:

@@ -1,27 +1,28 @@
 """Exact sparse linear algebra over Q and the cyclotomic fields.
 
+There are two elimination loops.  ``_rank_exact`` is fraction-free: rational
+rows are scaled to primitive integers, each update is a two-term
+cross-multiplication followed by content removal, and pivots are chosen by
+a Markowitz-style fill-in estimate (field-valued rows, with AlgNum entries,
+use exact division instead).  ``Echelon`` is incremental: pivot rows are
+normalized to lead 1 and keyed by their leading column, over Q,
+Q(2*cos(pi/d)) or F_p.  ``primitive`` and ``strip_content`` are the content
+helpers of the fraction-free loop and of the Groebner-basis reductions.
+
 Rank is certified before it is computed.  Reducing the entries modulo one
 prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
 2*cos(pi/d) goes to zeta + 1/zeta for a 2d-th root of unity zeta in F_p),
 so a nonzero minor mod p lifts to a nonzero minor: rank mod p <= rank.
-Every rank is at most min(#nonzero rows, #nonzero columns).  When one
-elimination mod p reaches that bound, the two bounds meet and the rank is
+Every rank is at most min(#nonzero rows, #nonzero columns).  When the
+echelon over F_p reaches that bound, the two bounds meet and the rank is
 proven.  Otherwise, and whenever no reduction applies (p divides a
 denominator, or the entries come from different fields), the rank comes
-from exact elimination.
+from ``_rank_exact``.
 
-The exact elimination is fraction-free: rational rows are scaled to
-primitive integers, each update is a two-term cross-multiplication followed
-by content removal, and pivots are chosen by a Markowitz-style fill-in
-estimate.  Field-valued matrices (AlgNum entries) use exact division
-instead.  ``primitive`` and ``strip_content`` are the content helpers of
-this elimination and of the Groebner-basis reductions.
-
-Solutions, not ranks, come from one incremental echelon over the entries'
-field (``Echelon``): pivot rows are normalized to lead 1 and keyed by their
-leading column.  It backs the unique solve and the search for the first
-linear dependency among a stream of vectors, which gives minimal
-polynomials and eliminants.  No floating point anywhere.
+Solutions, not ranks, come from the echelon over the entries' field: the
+unique solve and the search for the first linear dependency among a
+stream of vectors, which gives minimal polynomials and eliminants.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -62,18 +63,22 @@ def _is_rational(rows: list[Row]) -> bool:
     return True
 
 
-def strip_content(*rows: dict) -> None:
-    """Divide integer rows in place by the gcd of all their entries."""
+def strip_content(*rows: dict) -> int:
+    """Divide integer rows in place by the gcd of all their entries.
+
+    Returns the divisor: that gcd, or 1 when there is nothing to remove.
+    """
     g = 0
     for row in rows:
         for v in row.values():
             g = gcd(g, v)
             if g == 1:
-                return
+                return 1
     if g > 1:
         for row in rows:
             for k in row:
                 row[k] //= g
+    return g or 1
 
 
 def primitive(row: dict) -> dict:
@@ -276,29 +281,13 @@ def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
 def _reaches_rank_mod_p(rows: list[dict[int, int]], p: int, target: int) -> bool:
     """Whether the rows have rank ``target`` over F_p.
 
-    Rows are reduced one at a time against normalized pivot rows keyed by
-    their leading column; the scan stops as soon as more than
-    ``len(rows) - target`` rows have reduced to zero.
+    Rows are inserted into an echelon over F_p one at a time; the scan stops
+    as soon as more than ``len(rows) - target`` rows have reduced to zero.
     """
     slack = len(rows) - target
-    pivots: dict[int, dict[int, int]] = {}
+    echelon = Echelon(p)
     for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {cc: v * inv % p for cc, v in row.items()}
-                break
-            f = row[c]
-            for cc, v in prow.items():
-                nv = (row.get(cc, 0) - f * v) % p
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-        else:
+        if not echelon.insert(row):
             slack -= 1
             if slack < 0:
                 return False
@@ -327,19 +316,22 @@ def kernel_dim(matrix: Iterable, ncols: int) -> int:
 
 
 class Echelon:
-    """Incremental echelon form of sparse rows over Q or Q(2*cos(pi/d)).
+    """Incremental echelon form of sparse rows over Q, Q(2*cos(pi/d)) or F_p.
 
     Each pivot row is normalized to lead 1 and stored under its leading
     column, so a row is reduced by subtracting multiples of the pivot rows
-    at its leading column until that column has no pivot.
+    at its leading column until that column has no pivot.  With a prime p
+    the entries are ints reduced mod p.
     """
 
-    def __init__(self):
+    def __init__(self, p: int | None = None):
+        self.p = p
         self.pivots: dict[int, Row] = {}
 
     def reduce(self, row: Row) -> Row:
         """The residue of row: empty, or led by a column without a pivot."""
-        row = dict(row)
+        p = self.p
+        row = dict(row) if p is None else {c: v % p for c, v in row.items() if v % p}
         while row:
             lead = min(row)
             prow = self.pivots.get(lead)
@@ -348,6 +340,8 @@ class Echelon:
             f = row[lead]
             for c, v in prow.items():
                 nv = row.get(c, 0) - f * v
+                if p is not None:
+                    nv %= p
                 if nv:
                     row[c] = nv
                 else:
@@ -359,8 +353,13 @@ class Echelon:
         row = self.reduce(row)
         if row:
             lead = min(row)
-            inv = 1 / row[lead]
-            self.pivots[lead] = {c: v * inv for c, v in row.items()}
+            p = self.p
+            if p is None:
+                inv = 1 / row[lead]
+                self.pivots[lead] = {c: v * inv for c, v in row.items()}
+            else:
+                inv = pow(row[lead], -1, p)
+                self.pivots[lead] = {c: v * inv % p for c, v in row.items()}
         return row
 
 

@@ -1,15 +1,19 @@
-"""Dense univariate polynomial arithmetic over the rationals.
+"""Dense univariate polynomial arithmetic over the integers or the rationals.
 
-A polynomial is a tuple of Fractions in ascending degree order with no
-trailing zeros; the empty tuple is the zero polynomial.  Everything here
-is exact, and the functions are free-standing so coefficient vectors can
-be treated as plain data.
+A polynomial is a tuple of int or Fraction coefficients in ascending degree
+order with no trailing zeros; the empty tuple is the zero polynomial.
+``add``, ``sub``, ``mul``, ``shift`` and ``trim`` keep the coefficient type,
+so integer polynomials such as Hilbert numerators stay integral; divisions
+(``divmod_poly`` and everything built on it, ``monic``) return Fractions.
+``upoly`` is the Fraction constructor.  Everything here is exact, and the
+functions are free-standing so coefficient vectors can be treated as plain
+data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Coeffs = tuple[Fraction, ...]
 
@@ -18,12 +22,17 @@ ONE: Coeffs = (Fraction(1),)
 T: Coeffs = (Fraction(0), Fraction(1))
 
 
-def upoly(coeffs: Sequence) -> Coeffs:
-    """Normalize an ascending coefficient sequence into a Coeffs tuple."""
-    cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+def trim(coeffs: Iterable) -> tuple:
+    """The coefficients as a tuple without trailing zeros, types kept."""
+    cs = list(coeffs)
     while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
+
+
+def upoly(coeffs: Sequence) -> Coeffs:
+    """Normalize an ascending coefficient sequence into a Coeffs tuple."""
+    return trim(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
 
 
 def degree(p: Coeffs) -> int:
@@ -37,7 +46,7 @@ def add(p: Coeffs, q: Coeffs) -> Coeffs:
     out = list(p)
     for i, c in enumerate(q):
         out[i] += c
-    return upoly(out)
+    return trim(out)
 
 
 def neg(p: Coeffs) -> Coeffs:
@@ -51,14 +60,14 @@ def sub(p: Coeffs, q: Coeffs) -> Coeffs:
 def mul(p: Coeffs, q: Coeffs) -> Coeffs:
     if not p or not q:
         return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [p[0] * q[0] * 0] * (len(p) + len(q) - 1)  # zero of the coefficient type
     for i, a in enumerate(p):
         if not a:
             continue
         for j, b in enumerate(q):
             if b:
                 out[i + j] += a * b
-    return upoly(out)
+    return trim(out)
 
 
 def scale(p: Coeffs, c) -> Coeffs:
@@ -72,16 +81,14 @@ def shift(p: Coeffs, k: int) -> Coeffs:
     """Multiply by t**k."""
     if not p:
         return ZERO
-    return (Fraction(0),) * k + p
+    return (p[0] * 0,) * k + p
 
 
 def monic(p: Coeffs) -> Coeffs:
     if not p:
         return ZERO
     lc = p[-1]
-    if lc == 1:
-        return p
-    return tuple(c / lc for c in p)
+    return tuple(Fraction(c) / lc for c in p)
 
 
 def divmod_poly(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -96,7 +103,7 @@ def divmod_poly(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
         c = rem[i]
         if not c:
             continue
-        f = c / lb
+        f = Fraction(c) / lb
         quo[i - db] = f
         for j in range(db + 1):
             rem[i - db + j] -= f * b[j]
@@ -133,8 +140,7 @@ def xgcd(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs, Coeffs]:
         v0, v1 = v1, sub(v0, mul(q, v1))
     if not r0:
         return ZERO, ZERO, ZERO
-    lc = r0[-1]
-    inv = 1 / lc
+    inv = 1 / Fraction(r0[-1])
     return monic(r0), scale(u0, inv), scale(v0, inv)
 
 

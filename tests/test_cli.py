@@ -105,6 +105,34 @@ class TestHilbert:
         assert rep["results"]["q_polynomial"] is None
 
 
+class TestBudgets:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        from chebcurve import hilbert, linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the budget check")
+
+        monkeypatch.setattr(hilbert, "buchberger", refuse)
+        monkeypatch.setattr(linalg, "rank", refuse)
+        hilbert.milnor_profile.cache_clear()
+
+    @pytest.mark.parametrize("kmax", ["17", "100000000"])
+    def test_kmax_above_4d(self, capsys, quartic_file, no_work, kmax):
+        rc, out, err = run(capsys, "hilbert", quartic_file, "--kmax", kmax)
+        assert rc == 3 and out == ""
+        assert "--kmax must be at most 4d = 16" in err
+
+    def test_rmax_above_3d(self, capsys, quartic_file, no_work):
+        rc, out, err = run(capsys, "syzygy", quartic_file, "--rmax", "13")
+        assert rc == 3 and out == ""
+        assert "--rmax must be at most 3d = 12" in err
+
+    def test_kmax_at_the_limit(self, capsys, quartic_file):
+        rep = run_json(capsys, "hilbert", quartic_file, "--kmax", "16")
+        assert len(rep["results"]["dims"]) == 17
+
+
 class TestSyzygy:
     def test_per_degree_dims(self, capsys, quartic_file):
         rep = run_json(capsys, "syzygy", quartic_file, "--rmax", "4")

@@ -227,3 +227,38 @@ class TestUPoly:
         p = upoly.upoly([1, -2, 1])  # (t-1)^2
         assert upoly.evaluate(p, Fraction(1)) == 0
         assert upoly.evaluate(p, Fraction(3)) == 4
+
+
+class TestUPolyCoefficientTypes:
+    def test_exact_div_of_integer_polynomials(self):
+        q = upoly.exact_div((1, 1), (3, 3))
+        assert q == (Fraction(1, 3),)
+        assert all(type(c) is Fraction for c in q)
+
+    def test_gcd_of_integer_polynomials_has_no_float(self):
+        g = upoly.gcd_poly((0, 0, 2), (0, 4))
+        assert g == (0, 1)
+        assert all(type(c) is Fraction for c in g)
+
+    def test_monic_and_xgcd_of_integer_polynomials(self):
+        assert all(type(c) is Fraction for c in upoly.monic((0, 3)))
+        g, u, v = upoly.xgcd((0, 1), (3,))
+        assert (g, u, v) == ((1,), (), (Fraction(1, 3),))
+        assert all(type(c) is Fraction for c in g + u + v)
+
+    def test_ring_operations_keep_integers(self):
+        p, q = (1, -1), (0, 2, 3)
+        for out, expected in (
+            (upoly.add(p, q), (1, 1, 3)),
+            (upoly.mul(p, q), (0, 2, 1, -3)),
+            (upoly.shift(p, 2), (0, 0, 1, -1)),
+            (upoly.trim([4, 0, 0]), (4,)),
+            (upoly.add((1, 2), (0, -2)), (1,)),
+        ):
+            assert out == expected
+            assert all(type(c) is int for c in out)
+
+    def test_ring_operations_keep_fractions(self):
+        p = upoly.upoly([1, 0, 2])
+        for out in (upoly.add(p, p), upoly.mul(p, p), upoly.shift(p, 3)):
+            assert all(type(c) is Fraction for c in out)

@@ -1,5 +1,7 @@
 """Buchberger engine: reduced bases, normal forms, determinism."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,3 +183,69 @@ class TestLeadingIdeal:
             for j, b in enumerate(lead):
                 if i != j:
                     assert not all(e <= f for e, f in zip(a, b))
+
+
+_scalar = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(lambda c: c.denominator > 1)
+
+
+@st.composite
+def small_polys(draw):
+    monos = [m for k in range(4) for m in monomial_basis(k, 3)]
+    terms = {m: draw(_coeff) for m in draw(st.lists(st.sampled_from(monos), max_size=5))}
+    return MPoly(3, terms)
+
+
+def _to_sympy(p, gens):
+    import sympy
+
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(gens, m)))
+         for m, c in p.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+class TestRationalNormalForm:
+    @settings(max_examples=40, deadline=None)
+    @given(small_ideals(), small_polys(), small_polys(), _scalar, _scalar)
+    def test_linear_over_q(self, gens, p, q, a, b):
+        if not gens:
+            return
+        gb = buchberger(Ideal(gens))
+        ca, cb = MPoly.constant(a, 3), MPoly.constant(b, 3)
+        lhs = normal_form(ca * p + cb * q, gb)
+        assert lhs == ca * normal_form(p, gb) + cb * normal_form(q, gb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_ideals(), small_polys())
+    def test_idempotent(self, gens, p):
+        if not gens:
+            return
+        gb = buchberger(Ideal(gens))
+        r = normal_form(p, gb)
+        assert normal_form(r, gb) == r
+        assert normal_form(p - r, gb).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_ideals(), small_polys())
+    def test_matches_sympy_remainder(self, gens, p):
+        sympy = pytest.importorskip("sympy")
+        if not gens:
+            return
+        gb = buchberger(Ideal(gens))
+        xyz = sympy.symbols("x y z")
+        basis = [_to_sympy(g, xyz) for g in gb.elements]
+        _, r = sympy.reduced(_to_sympy(p, xyz), basis, *xyz, order="grevlex")
+        expected = MPoly(
+            3,
+            {m: Fraction(int(c.p), int(c.q)) for m, c in sympy.Poly(r, *xyz).terms()},
+        )
+        assert normal_form(p, gb) == expected
+
+    def test_long_reduction_past_content_strip(self):
+        # x -> 3y/2 seventy times: more than the 64 steps between content strips
+        gb = gb_of("2*x - 3*y")
+        for c in (Fraction(1), Fraction(1, 5), Fraction(-7, 3)):
+            p = MPoly(3, {(70, 0, 0): c, (0, 0, 70): Fraction(1, 2)})
+            expected = MPoly(3, {(0, 70, 0): c * Fraction(3, 2) ** 70, (0, 0, 70): Fraction(1, 2)})
+            assert normal_form(p, gb) == expected

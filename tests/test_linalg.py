@@ -286,3 +286,49 @@ class TestCertificate:
         for r in range(d - 2, d + 3):
             syzygy.relation_module_kernel_dim(d, r)
         assert len(certified) >= d + 1
+
+
+class TestEchelonModP:
+    def test_pivots_over_q_and_f7(self):
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 8}]
+        over_q = Echelon()
+        for row in rows:
+            over_q.insert({c: Fraction(v) for c, v in row.items()})
+        assert len(over_q.pivots) == 2
+        over_f7 = Echelon(7)
+        for row in rows:
+            over_f7.insert(row)
+        assert over_f7.pivots == {0: {0: 1, 1: 1}}
+
+    def test_entries_are_residues(self):
+        ech = Echelon(5)
+        assert ech.insert({0: 10, 1: 3}) == {1: 3}
+        assert ech.pivots == {1: {1: 1}}
+        assert ech.reduce({1: -4, 2: 7}) == {2: 2}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(min_value=-12, max_value=12), min_size=m, max_size=m),
+                min_size=1,
+                max_size=5,
+            )
+        ),
+    )
+    def test_rank_matches_sympy_over_gf_p(self, p, rows):
+        matrices = pytest.importorskip("sympy.polys.matrices")
+        from sympy import GF, ZZ
+
+        expected = matrices.DomainMatrix.from_list(rows, ZZ).convert_to(GF(p)).rank()
+        ech = Echelon(p)
+        for row in rows:
+            ech.insert(dict(enumerate(row)))
+        assert len(ech.pivots) == expected
+        for prow in ech.pivots.values():
+            assert prow[min(prow)] == 1 and all(0 < v < p for v in prow.values())
+        residues = [{c: v % p for c, v in enumerate(row) if v % p} for row in rows]
+        assert _reaches_rank_mod_p(residues, p, expected)
+        if expected < len(rows):
+            assert not _reaches_rank_mod_p(residues, p, expected + 1)
