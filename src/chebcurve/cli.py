@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure (a failed verify item or
 a failed internal self-check), 2 input error, 3 precondition violation
-(including --kmax above 4d or --rmax above 3d for an input of degree d).
+(including an input of degree above 30, the range of gen -d, and --kmax
+above 4d or --rmax above 3d for an input of degree d).
 Reports are canonical: keys sorted, integers exact, rationals as "p/q"
 strings, field elements as coefficient arrays with their minimal
 polynomial; timings live under the volatile key so the rest of the payload
@@ -38,6 +39,8 @@ EXIT_PRECONDITION = 3
 GROEBNER_MAX_D = 8
 FACTOR_MAX_D = 10
 SURJECTIVITY_MAX_D = 6
+# largest degree of gen -d and of the hilbert, syzygy and rational-test input
+MAX_INPUT_DEGREE = 30
 # largest --kmax and --rmax, as multiples of the input degree d
 KMAX_PER_DEGREE = 4
 RMAX_PER_DEGREE = 3
@@ -155,6 +158,17 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _refused(f: MPoly, min_degree: int) -> bool:
+    """Report an input that is not a form of degree min_degree..MAX_INPUT_DEGREE."""
+    if f.is_zero() or not f.is_homogeneous() or f.degree() < min_degree:
+        sys.stderr.write(f"error: input must be homogeneous of degree >= {min_degree}\n")
+    elif f.degree() > MAX_INPUT_DEGREE:
+        sys.stderr.write(f"error: input degree must be at most {MAX_INPUT_DEGREE}, got {f.degree()}\n")
+    else:
+        return False
+    return True
+
+
 def _over_budget(flag: str, value: int | None, per_degree: int, d: int) -> bool:
     """Report a --kmax or --rmax above per_degree * d, before any work."""
     limit = per_degree * d
@@ -167,10 +181,7 @@ def _over_budget(flag: str, value: int | None, per_degree: int, d: int) -> bool:
 def cmd_hilbert(args) -> int:
     t0 = time.perf_counter()
     f = _read_poly(args.file)
-    if f.is_zero() or not f.is_homogeneous() or f.degree() < 2:
-        sys.stderr.write("error: input must be homogeneous of degree >= 2\n")
-        return EXIT_PRECONDITION
-    if _over_budget("--kmax", args.kmax, KMAX_PER_DEGREE, f.degree()):
+    if _refused(f, 2) or _over_budget("--kmax", args.kmax, KMAX_PER_DEGREE, f.degree()):
         return EXIT_PRECONDITION
     t1 = time.perf_counter()
     prof = milnor_profile(f, kmax=args.kmax)
@@ -196,10 +207,7 @@ def cmd_hilbert(args) -> int:
 def cmd_syzygy(args) -> int:
     t0 = time.perf_counter()
     f = _read_poly(args.file)
-    if f.is_zero() or not f.is_homogeneous() or f.degree() < 2:
-        sys.stderr.write("error: input must be homogeneous of degree >= 2\n")
-        return EXIT_PRECONDITION
-    if _over_budget("--rmax", args.rmax, RMAX_PER_DEGREE, f.degree()):
+    if _refused(f, 2) or _over_budget("--rmax", args.rmax, RMAX_PER_DEGREE, f.degree()):
         return EXIT_PRECONDITION
     r_max = args.rmax if args.rmax is not None else 2 * f.degree()
     per_degree = []
@@ -238,8 +246,7 @@ def cmd_interp(args) -> int:
 def cmd_rational_test(args) -> int:
     t0 = time.perf_counter()
     f = _read_poly(args.file)
-    if f.is_zero() or not f.is_homogeneous() or f.degree() < 3:
-        sys.stderr.write("error: input must be homogeneous of degree >= 3\n")
+    if _refused(f, 3):
         return EXIT_PRECONDITION
     try:
         rep = rationality_test(f, seed=args.seed)
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit curve data and factorizations")
-    p.add_argument("-d", type=_int_arg(3, 30), required=True)
+    p.add_argument("-d", type=_int_arg(3, MAX_INPUT_DEGREE), required=True)
     p.add_argument("--sign", choices=("plus", "minus"), default="plus")
     _add_common(p)
     p.set_defaults(func=cmd_gen)

@@ -19,6 +19,15 @@ proven.  Otherwise, and whenever no reduction applies (p divides a
 denominator, or the entries come from different fields), the rank comes
 from ``_rank_exact``.
 
+A rank-deficient rank is certified by known kernel vectors.  When the
+columns of K satisfy A K = 0 exactly, rank K <= ncols - rank A, so
+rank_p K <= rank K <= ncols - rank A <= ncols - rank_p A = u, with A and K
+reduced modulo the same prime.  ``kernel_certificate`` eliminates A mod p,
+then K restricted to A's u free columns (a kernel vector mod p is fixed by
+its free coordinates, so the restriction keeps rank_p K); when that
+reaches u, every inequality is an equality and rank A = rank_p A,
+rank K = u.  Callers fall back to ``rank`` when it does not.
+
 Solutions, not ranks, come from the echelon over the entries' field: the
 unique solve and the search for the first linear dependency among a
 stream of vectors, which gives minimal polynomials and eliminants.  No
@@ -235,6 +244,13 @@ def _residue(q: Fraction, p: int) -> int | None:
     return q.numerator * pow(den, -1, p) % p
 
 
+def _residue_or_raise(q: Fraction, p: int) -> int:
+    r = _residue(q, p)
+    if r is None:
+        raise ValueError(f"{q} has no residue modulo {p}")
+    return r
+
+
 def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
     """The rows' image in F_p, with p; None when no reduction applies.
 
@@ -255,23 +271,30 @@ def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
         gpow = [pow(g, i, p) for i in range(real_cyclotomic_field(d).degree)]
     else:
         p = _modulus(2)
+
+    def image(v) -> int | None:
+        if not isinstance(v, AlgNum):
+            return _residue(v, p)
+        r = 0
+        for a, gi in zip(v.coeffs, gpow):
+            if a:
+                ra = _residue(a, p)
+                if ra is None:
+                    return None
+                r += ra * gi
+        return r % p
+
+    # matrices built from a few polynomials repeat the same entry objects
+    memo: dict[int, int | None] = {}
     out = []
     for row in rows:
         red: dict[int, int] = {}
         for c, v in row.items():
-            if isinstance(v, AlgNum):
-                r = 0
-                for a, gi in zip(v.coeffs, gpow):
-                    if a:
-                        ra = _residue(a, p)
-                        if ra is None:
-                            return None
-                        r += ra * gi
-                r %= p
-            else:
-                r = _residue(v, p)
-                if r is None:
-                    return None
+            r = memo.get(id(v), -1)
+            if r == -1:
+                r = memo[id(v)] = image(v)
+            if r is None:
+                return None
             if r:
                 red[c] = r
         out.append(red)
@@ -279,19 +302,20 @@ def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
 
 
 def _reaches_rank_mod_p(rows: list[dict[int, int]], p: int, target: int) -> bool:
-    """Whether the rows have rank ``target`` over F_p.
+    """Whether the rows have rank at least ``target`` over F_p.
 
     Rows are inserted into an echelon over F_p one at a time; the scan stops
-    as soon as more than ``len(rows) - target`` rows have reduced to zero.
+    as soon as ``target`` pivots are found, or more than
+    ``len(rows) - target`` rows have reduced to zero.
     """
     slack = len(rows) - target
     echelon = Echelon(p)
     for row in rows:
+        if len(echelon.pivots) >= target or slack < 0:
+            break
         if not echelon.insert(row):
             slack -= 1
-            if slack < 0:
-                return False
-    return True
+    return len(echelon.pivots) >= target
 
 
 def rank(matrix: Iterable) -> int:
@@ -308,6 +332,43 @@ def rank(matrix: Iterable) -> int:
     if reduced is not None and _reaches_rank_mod_p(*reduced, bound):
         return bound
     return _rank_exact(rows)
+
+
+def kernel_certificate(matrix: Iterable, kernel_rows: Sequence) -> int | None:
+    """The proven rank of A from a matrix K with A * K = 0, or None.
+
+    ``kernel_rows`` are the rows of K, one for each column of A (so A has
+    ``len(kernel_rows)`` columns); the caller guarantees A * K = 0 exactly.
+    With both reduced modulo one prime p, rank_p(K) <= rank(K) <=
+    ncols - rank(A) <= ncols - rank_p(A) = u.  The columns of K mod p lie
+    in the kernel of A mod p, which the coordinates at the non-pivot
+    columns of A's echelon determine, so K is restricted to those u rows
+    and its columns are eliminated, sparsest first, until u pivots.  When
+    they have rank u the ends meet: the result is rank(A), and
+    ``len(kernel_rows)`` minus it is rank(K).  None when p divides a
+    denominator or the ends do not meet.
+    """
+    rows = _to_rows(matrix)
+    kernel = _to_rows(kernel_rows)
+    if any(c >= len(kernel) for row in rows for c in row):
+        raise ValueError("the kernel matrix needs one row per column")
+    reduced = _reduce_mod_p(rows + kernel)
+    if reduced is None:
+        return None
+    residues, p = reduced
+    echelon = Echelon(p)
+    for row in residues[: len(rows)]:
+        echelon.insert(row)
+    rank = len(echelon.pivots)
+    # the columns of K restricted to the free columns of A, sparsest first
+    columns: dict[int, dict[int, int]] = {}
+    free = (c for c in range(len(kernel)) if c not in echelon.pivots)
+    for i, c in enumerate(free):
+        for j, v in residues[len(rows) + c].items():
+            columns.setdefault(j, {})[i] = v
+    if _reaches_rank_mod_p(sorted(columns.values(), key=len), p, len(kernel) - rank):
+        return rank
+    return None
 
 
 def kernel_dim(matrix: Iterable, ncols: int) -> int:
@@ -328,10 +389,26 @@ class Echelon:
         self.p = p
         self.pivots: dict[int, Row] = {}
 
+    @property
+    def unit(self):
+        """The one of the echelon's field: Fraction(1) over Q, 1 over F_p."""
+        return Fraction(1) if self.p is None else 1
+
     def reduce(self, row: Row) -> Row:
-        """The residue of row: empty, or led by a column without a pivot."""
+        """The residue of row: empty, or led by a column without a pivot.
+
+        Over F_p, Fraction entries are mapped to their residues; a
+        denominator divisible by p raises ValueError.
+        """
         p = self.p
-        row = dict(row) if p is None else {c: v % p for c, v in row.items() if v % p}
+        if p is None:
+            row = dict(row)
+        else:
+            row = {
+                c: r
+                for c, v in row.items()
+                if (r := v % p if type(v) is int else _residue_or_raise(v, p))
+            }
         while row:
             lead = min(row)
             prow = self.pivots.get(lead)
@@ -405,11 +482,12 @@ def first_dependency(vectors: Iterable, ncols: int, echelon: Echelon | None = No
     """
     if echelon is None:
         echelon = Echelon()
+    unit = echelon.unit
     for k, vec in enumerate(vectors):
         row = _to_row(vec)
-        row[ncols + k] = Fraction(1)
+        row[ncols + k] = unit
         residue = echelon.reduce(row)
         if min(residue) >= ncols:
-            return [residue.get(ncols + i, Fraction(0)) for i in range(k + 1)]
+            return [residue.get(ncols + i, 0 * unit) for i in range(k + 1)]
         echelon.insert(residue)
     return None

@@ -171,15 +171,24 @@ class MPoly:
         return MPoly(self.nvars, out)
 
     def evaluate(self, point: Sequence):
-        """Exact evaluation; coordinates may be Fractions, field elements or MPolys."""
+        """Exact evaluation; coordinates may be Fractions, field elements or MPolys.
+
+        Each coordinate's powers are computed once, up to its largest exponent.
+        """
         if len(point) != self.nvars:
             raise ValueError("point length does not match nvars")
+        powers = []
+        for xi, top in zip(point, map(max, zip(*self.terms))):
+            table = [None, xi]
+            for _ in range(top - 1):
+                table.append(table[-1] * xi)
+            powers.append(table)
         total = None
         for m, c in self.terms.items():
             v = c
-            for xi, e in zip(point, m):
+            for table, e in zip(powers, m):
                 if e:
-                    v = v * xi**e
+                    v = v * table[e]
             total = v if total is None else total + v
         return Fraction(0) if total is None else total
 

@@ -10,6 +10,14 @@ Every matrix here is built by ``macaulay_matrix``, the degree slice of
 (c_1, ..., c_k) -> sum c_i * v_i for tuples of forms v_i: the Jacobian
 degree matrices, the solve for a non-Koszul relation and the matrices of
 the relation module.
+
+For the Chebyshev curve the relations prove the ranks.  Each non-Koszul
+relation passes an identity check when it is built, and the Koszul ones
+hold trivially, so the columns of the relation matrix R_r are syzygies of
+degree r: J_r R_r = 0 for the Jacobian degree matrix J_r.  Hence
+rank_p R_r <= rank R_r <= syz(r) = ncols J_r - rank J_r <= ncols J_r -
+rank_p J_r, and ``linalg.kernel_certificate`` closes both ranks modulo one
+prime when the ends meet; otherwise they are computed exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +30,9 @@ from .chebyshev import curve_affine, curve_polynomial, minus_conics
 from .hilbert import milnor_profile, series_dims
 from .numberfield import SelfCheckError, real_cyclotomic_field
 from .polyring import MPoly, exact_div, homogenize, mono_mul, monomial_basis, partials
+
+
+Relations = tuple[tuple[tuple[MPoly, ...], int], ...]
 
 
 def _dim_homog(e: int) -> int:
@@ -93,9 +104,18 @@ def jacobian_degree_matrix(f: MPoly, r: int) -> DegreeMatrix:
     )
 
 
-def syzygy_dim(f: MPoly, r: int) -> int:
-    """Exact dimension of the degree-r syzygies of the partials of f."""
+def syzygy_dim(f: MPoly, r: int, relations: Relations = ()) -> int:
+    """Exact dimension of the degree-r syzygies of the partials of f.
+
+    ``relations`` are proven syzygies of f, (triple, degree) pairs; with
+    them the rank of the degree matrix is first read from the kernel
+    certificate against the relation matrix.
+    """
     mat = jacobian_degree_matrix(f, r)
+    if relations:
+        rank = linalg.kernel_certificate(mat.rows, relation_matrix(relations, r)[0])
+        if rank is not None:
+            return mat.ncols - rank
     return mat.ncols - linalg.rank(mat.rows)
 
 
@@ -152,21 +172,42 @@ def _koszul_relations(f: MPoly) -> list[tuple[MPoly, MPoly, MPoly]]:
     return [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
 
 
+def chebyshev_relations(d: int) -> Relations:
+    """The distinguished relations (degree d-2) and the Koszul trio (degree
+    d-1) of the degree-d Chebyshev curve, over Q(2*cos(pi/d)).
+
+    The distinguished ones come from the cache of ``nontrivial_syzygy``,
+    which checks each identity when it builds it.
+    """
+    field = real_cyclotomic_field(d)
+    rels = [(nontrivial_syzygy(d, j), d - 2) for j in range(1, len(minus_conics(d)) + 1)]
+    rels += [
+        (tuple(p.map_coefficients(field.from_rational) for p in rel), d - 1)
+        for rel in _koszul_relations(curve_polynomial(d))
+    ]
+    return tuple(rels)
+
+
+def relation_matrix(relations: Relations, r: int) -> tuple[list[dict[int, object]], int]:
+    """Rows and column count of assembling the relations in component degree r.
+
+    The rows are indexed like the columns of the degree-r Jacobian matrix,
+    so its product with this matrix is zero.
+    """
+    return macaulay_matrix([(rel, r - deg) for rel, deg in relations], r)
+
+
 def relation_module_kernel_dim(d: int, r: int) -> tuple[int, int]:
     """(rank, kernel dim) of assembling polynomial combinations of the
-    distinguished relations and the Koszul trio in component degree r."""
-    f = curve_polynomial(d)
-    field = real_cyclotomic_field(d)
-    n_extra = len(minus_conics(d))
-    rels = [nontrivial_syzygy(d, j) for j in range(1, n_extra + 1)]
-    rels += [
-        tuple(p.map_coefficients(field.from_rational) for p in rel)
-        for rel in _koszul_relations(f)
-    ]
-    degrees = [d - 2] * n_extra + [d - 1] * 3
+    distinguished relations and the Koszul trio in component degree r.
 
-    rows, ncols = macaulay_matrix([(rel, r - deg) for rel, deg in zip(rels, degrees)], r)
-    rank = linalg.rank(rows)
+    The rank is read from the kernel certificate of the degree-r Jacobian
+    matrix, whose syzygies these columns are, and otherwise computed.
+    """
+    rows, ncols = relation_matrix(chebyshev_relations(d), r)
+    jac = jacobian_degree_matrix(curve_polynomial(d), r)
+    rank_j = linalg.kernel_certificate(jac.rows, rows)
+    rank = jac.ncols - rank_j if rank_j is not None else linalg.rank(rows)
     return rank, ncols - rank
 
 
@@ -230,22 +271,21 @@ def verify_resolution(d: int, r_max: int | None = None, second_level: bool = Tru
     syz_checks = []
     first_degree = None
     first_count = 0
+    # construction raises unless each relation holds identically
+    relations = chebyshev_relations(d)
     for r in range(r_max + 1):
-        got = syzygy_dim(f, r)
+        got = syzygy_dim(f, r, relations)
         expected = syzygy_dim_from_hilbert(f, r)
         syz_checks.append(DegreeCheck(r=r, got=got, expected=expected))
         if first_degree is None and got:
             first_degree = r
             first_count = got
-    n_extra = len(minus_conics(d))
-    # construction raises unless each relation holds identically
-    relations = tuple(nontrivial_syzygy(d, j) for j in range(1, n_extra + 1))
     rank_checks = []
     kernel_checks = []
     if second_level:
         for r in range(d - 2, d + 3):
             rank, ker = relation_module_kernel_dim(d, r)
-            expected = syz_checks[r].got if r <= r_max else syzygy_dim(f, r)
+            expected = syz_checks[r].got if r <= r_max else syzygy_dim(f, r, relations)
             rank_checks.append(DegreeCheck(r=r, got=rank, expected=expected))
             kernel_checks.append(DegreeCheck(r=r, got=ker, expected=expected_relation_kernel_dim(d, r)))
     return ResolutionReport(
@@ -253,7 +293,7 @@ def verify_resolution(d: int, r_max: int | None = None, second_level: bool = Tru
         syzygy_checks=tuple(syz_checks),
         first_syzygy_degree=first_degree if first_degree is not None else -1,
         first_syzygy_count=first_count,
-        relations=relations,
+        relations=tuple(rel for rel, deg in relations if deg == d - 2),
         rank_checks=tuple(rank_checks),
         kernel_checks=tuple(kernel_checks),
     )

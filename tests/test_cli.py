@@ -108,13 +108,15 @@ class TestHilbert:
 class TestBudgets:
     @pytest.fixture
     def no_work(self, monkeypatch):
-        from chebcurve import hilbert, linalg
+        from chebcurve import arrangement, hilbert, linalg
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the budget check")
 
         monkeypatch.setattr(hilbert, "buchberger", refuse)
+        monkeypatch.setattr(arrangement, "buchberger", refuse)
         monkeypatch.setattr(linalg, "rank", refuse)
+        monkeypatch.setattr(linalg, "kernel_certificate", refuse)
         hilbert.milnor_profile.cache_clear()
 
     @pytest.mark.parametrize("kmax", ["17", "100000000"])
@@ -127,6 +129,20 @@ class TestBudgets:
         rc, out, err = run(capsys, "syzygy", quartic_file, "--rmax", "13")
         assert rc == 3 and out == ""
         assert "--rmax must be at most 3d = 12" in err
+
+    @pytest.mark.parametrize("command", ["hilbert", "syzygy", "rational-test"])
+    def test_degree_above_30(self, capsys, tmp_path, no_work, command):
+        path = tmp_path / "fermat31.txt"
+        path.write_text("x^31 + y^31 + z^31")
+        rc, out, err = run(capsys, command, str(path))
+        assert rc == 3 and out == ""
+        assert err == "error: input degree must be at most 30, got 31\n"
+
+    def test_degree_30_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "fermat30.txt"
+        path.write_text("x^30 + y^30 + z^30")
+        rep = run_json(capsys, "hilbert", str(path), "--kmax", "2")
+        assert rep["results"]["degree"] == 30
 
     def test_kmax_at_the_limit(self, capsys, quartic_file):
         rep = run_json(capsys, "hilbert", quartic_file, "--kmax", "16")

@@ -1,4 +1,4 @@
-"""Exact elimination: rank, kernels, unique solving, the modular certificate."""
+"""Exact elimination: rank, kernels, unique solving, the modular certificates."""
 
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +17,7 @@ from chebcurve.linalg import (
     _reduce_mod_p,
     _to_rows,
     first_dependency,
+    kernel_certificate,
     kernel_dim,
     primitive,
     rank,
@@ -217,6 +218,62 @@ def _is_prime(n: int) -> bool:
     return n > 1 and all(n % q for q in range(2, int(n**0.5) + 1))
 
 
+@st.composite
+def kernel_pairs(draw):
+    """(A, K, s): A = X [I_s | Y] and K = [-Y; I_t], with A's columns and K's
+    rows permuted alike.  A K = 0 and rank K = t, so K spans the kernel of A
+    exactly when rank A = s."""
+    entry = _entries(draw(st.sampled_from(["int", "fraction", 5, 7])))
+    n_rows, s, t = (draw(st.integers(min_value=lo, max_value=4)) for lo in (1, 0, 0))
+    x = draw(st.lists(st.lists(entry, min_size=s, max_size=s), min_size=n_rows, max_size=n_rows))
+    y = draw(st.lists(st.lists(entry, min_size=t, max_size=t), min_size=s, max_size=s))
+    perm = draw(st.permutations(range(s + t)))
+    left = [[int(i == j) for j in range(s)] + y[i] for i in range(s)]
+    kernel = [[-v for v in y[i]] for i in range(s)]
+    kernel += [[int(i == j) for j in range(t)] for i in range(t)]
+    a = [[sum((x[i][k] * left[k][c] for k in range(s)), 0) for c in perm] for i in range(n_rows)]
+    return a, [kernel[c] for c in perm], s
+
+
+class TestKernelCertificate:
+    def test_proves_a_rank_deficient_rank(self):
+        # columns 0 and 1 pivot, column 2 is free; (1, 1, -1) spans the kernel
+        a = [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
+        assert kernel_certificate(a, [[1], [1], [-1]]) == 2
+
+    def test_reads_the_kernel_at_free_columns(self):
+        # K is zero at A's pivot column 0 and nonzero at its free column 1
+        assert kernel_certificate([[1, 0]], [[0], [1]]) == 1
+
+    def test_kernel_short_of_the_nullity(self):
+        # the kernel of [1 1 1] has dimension 2; K holds one of its vectors
+        assert kernel_certificate([[1, 1, 1]], [[1], [-1], [0]]) is None
+        assert kernel_certificate([[1, 1, 1]], [[1, 1], [-1, 0], [0, -1]]) == 1
+
+    def test_denominator_divisible_by_p(self):
+        p = _modulus(2)
+        q = Fraction(1, p)
+        assert kernel_certificate([[q, q], [1, 1]], [[1], [-1]]) is None
+        assert kernel_certificate([[1, 1]], [[q], [-q]]) is None
+
+    def test_field_prime_for_both(self):
+        field = real_cyclotomic_field(5)
+        g = field.gen()
+        # rational A, field K: (g, -g) spans the kernel of [1 1]
+        assert kernel_certificate([[1, 1]], [[g], [-g]]) == 1
+
+    def test_kernel_needs_a_row_per_column(self):
+        with pytest.raises(ValueError):
+            kernel_certificate([[1, 0, 1]], [[0], [1]])
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_pairs())
+    def test_agrees_with_exact_path(self, case):
+        a, k, s = case
+        exact = exact_rank(a)
+        assert kernel_certificate(a, k) == (exact if exact == s else None)
+
+
 class TestCertificate:
     def test_moduli(self):
         for n in (2, 6, 8, 10, 14, 18, 20):
@@ -305,6 +362,21 @@ class TestEchelonModP:
         assert ech.insert({0: 10, 1: 3}) == {1: 3}
         assert ech.pivots == {1: {1: 1}}
         assert ech.reduce({1: -4, 2: 7}) == {2: 2}
+
+    def test_fraction_entries_are_mapped_to_residues(self):
+        ech = Echelon(7)
+        ech.insert({0: 1, 1: 1})
+        # 1/2 = 4 mod 7, and 3 - 4 = 6 mod 7
+        assert ech.reduce({0: Fraction(1, 2), 1: 3}) == {1: 6}
+        assert Echelon(7).insert({0: Fraction(1, 2)}) == {0: 4}
+        with pytest.raises(ValueError):
+            Echelon(7).insert({0: Fraction(1, 14)})
+
+    def test_first_dependency_over_f7(self):
+        # [2, 4] = 2 * [1, 2] and -2 = 5 mod 7
+        assert first_dependency([[1, 2], [2, 4]], 2, echelon=Echelon(7)) == [5, 1]
+        combo = first_dependency([[1, 2], [0, 0]], 2, echelon=Echelon(7))
+        assert combo == [0, 1] and all(type(c) is int for c in combo)
 
     @settings(max_examples=80, deadline=None)
     @given(

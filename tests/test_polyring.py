@@ -208,6 +208,47 @@ class TestProperties:
         assert exact_div(p * q, q) == p
 
 
+_field = real_cyclotomic_field(5)
+
+
+@st.composite
+def evaluation_points(draw):
+    """Three Fractions, three elements of Q(2*cos(pi/5)) or three linear forms."""
+    kind = draw(st.sampled_from(("fraction", "field", "mpoly")))
+    coords = [[draw(_small_coeff) for _ in range(3)] for _ in range(3)]
+    if kind == "fraction":
+        return tuple(c[0] for c in coords)
+    if kind == "field":
+        return tuple(_field.element(c[: _field.degree]) for c in coords)
+    return tuple(MPoly(3, dict(zip(monomial_basis(1, 3), c))) for c in coords)
+
+
+def termwise_value(p, point):
+    """sum of c * x**a * y**b * z**c, each power computed on its own."""
+    total = None
+    for m, c in p.terms.items():
+        v = c
+        for xi, e in zip(point, m):
+            if e:
+                v = v * xi**e
+        total = v if total is None else total + v
+    return Fraction(0) if total is None else total
+
+
+class TestEvaluatePowerTable:
+    @settings(max_examples=80)
+    @given(sparse_polys(max_degree=3), evaluation_points())
+    def test_matches_termwise_evaluation(self, p, point):
+        assert p.evaluate(point) == termwise_value(p, point)
+
+    def test_zero_polynomial(self):
+        assert MPoly.zero(3).evaluate((1, 2, 3)) == 0
+
+    def test_point_length_checked(self):
+        with pytest.raises(ValueError):
+            parse("x + y").evaluate((1, 2))
+
+
 class TestExactDivision:
     def test_inexact_raises(self):
         with pytest.raises(InexactDivisionError):

@@ -10,9 +10,11 @@ from chebcurve.chebyshev import build, curve_polynomial, minus_conics
 from chebcurve.numberfield import real_cyclotomic_field
 from chebcurve.polyring import MPoly, monomial_basis, parse, partials
 from chebcurve.syzygy import (
+    chebyshev_relations,
     expected_relation_kernel_dim,
     jacobian_degree_matrix,
     nontrivial_syzygy,
+    relation_matrix,
     relation_module_kernel_dim,
     syzygy_dim,
     syzygy_dim_from_hilbert,
@@ -89,13 +91,13 @@ class TestMacaulayMatrix:
     @pytest.mark.parametrize("d", [4, 5])
     def test_relation_module_matrix(self, monkeypatch, d):
         captured = []
-        rank = linalg.rank
+        certificate = linalg.kernel_certificate
 
-        def capture(rows):
-            captured.append(rows)
-            return rank(rows)
+        def capture(matrix, kernel_rows):
+            captured.append(kernel_rows)
+            return certificate(matrix, kernel_rows)
 
-        monkeypatch.setattr(linalg, "rank", capture)
+        monkeypatch.setattr(linalg, "kernel_certificate", capture)
         field = real_cyclotomic_field(d)
         fx, fy, fz = (p.map_coefficients(field.from_rational) for p in partials(curve_polynomial(d)))
         zero = MPoly.zero(3)
@@ -187,6 +189,54 @@ class TestSecondLevel:
             assert rank == syzygy_dim(curve_polynomial(d), r)
 
 
+def exact_rank(rows) -> int:
+    rows = [r for r in linalg._to_rows(rows) if r]
+    return linalg._rank_exact(rows) if rows else 0
+
+
+class TestKernelCertificate:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_certified_ranks_match_exact(self, d):
+        # Exact ranks of the relation matrices above r = d+2 at d = 7, 8
+        # take about 13 s together on a 2-CPU Xeon VM, so there only the
+        # degrees of the resolution check are compared with them.
+        f = curve_polynomial(d)
+        relations = chebyshev_relations(d)
+        for r in range(2 * d + 1):
+            mat = jacobian_degree_matrix(f, r)
+            kernel, _ = relation_matrix(relations, r)
+            rank_j = linalg.kernel_certificate(mat.rows, kernel)
+            assert rank_j == exact_rank(mat.rows)
+            if d <= 6 or r <= d + 2:
+                assert mat.ncols - rank_j == exact_rank(kernel)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_resolution_needs_no_exact_elimination(self, monkeypatch, d):
+        def refuse(rows):
+            raise AssertionError("exact elimination reached")
+
+        monkeypatch.setattr(linalg, "_rank_exact", refuse)
+        assert verify_resolution(d).ok
+
+    def test_short_relation_list_falls_back(self, monkeypatch):
+        # the Koszul trio alone misses the two relations of degree d-2 = 3
+        d = 5
+        f = curve_polynomial(d)
+        fallbacks = []
+        rank = linalg.rank
+
+        def counted(rows):
+            fallbacks.append(1)
+            return rank(rows)
+
+        monkeypatch.setattr(linalg, "rank", counted)
+        koszul = chebyshev_relations(d)[-3:]
+        for r in range(d - 2, d + 3):
+            fallbacks.clear()
+            assert syzygy_dim(f, r, koszul) == syzygy_dim_from_hilbert(f, r)
+            assert fallbacks == [1]
+
+
 class TestVerifyResolution:
     @pytest.mark.parametrize(
         "d,first_degree,first_count",
@@ -203,9 +253,9 @@ class TestVerifyResolution:
         calls = []
         dim = syzygy.syzygy_dim
 
-        def counted(f, r):
+        def counted(f, r, relations=()):
             calls.append(r)
-            return dim(f, r)
+            return dim(f, r, relations)
 
         monkeypatch.setattr(syzygy, "syzygy_dim", counted)
         assert verify_resolution(d).ok
