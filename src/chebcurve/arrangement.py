@@ -5,10 +5,11 @@ Milnor algebra at the general stabilization bound) with the graded
 dimension at 2d-3: equality certifies that every irreducible component is
 rational, and the difference reports the total geometric genus otherwise.
 Nodality itself is certified by counting distinct singular points after a
-random coordinate change that leaves none at infinity: in shape position
-the squarefree degree of one eliminant is the count, and otherwise the
-radical of the chart ideal (Seidenberg's lemma) has one standard monomial
-per point.  Reducedness needs no gcd: in characteristic 0 a homogeneous f
+random coordinate change that leaves none at infinity, which holds exactly
+when the chart ideal has tau standard monomials: in shape position the
+squarefree degree of one eliminant is the count, and otherwise the radical
+of the chart ideal (Seidenberg's lemma) has one standard monomial per
+point.  Reducedness needs no gcd: in characteristic 0 a homogeneous f
 is reduced exactly when its singular locus is finite, which the Hilbert
 numerator of the Milnor algebra already shows.
 """
@@ -53,18 +54,6 @@ def _random_change(rng: random.Random, f: MPoly) -> MPoly | None:
         for row in entries
     ]
     return f.evaluate(images)
-
-
-def _no_singular_points_at_infinity(g: MPoly) -> bool:
-    """True when the singular subscheme avoids the line z = 0."""
-    z = MPoly.variable(2, 3)
-    gens = [p for p in partials(g) if not p.is_zero()]
-    gb = buchberger(Ideal(tuple(gens) + (z,)))
-    lead = leading_ideal(gb)
-    for var in range(3):
-        if not any(sum(m) == m[var] for m in lead):
-            return False
-    return True
 
 
 def _standard_monomials(lead: tuple[Monomial, ...]) -> list[Monomial] | None:
@@ -115,13 +104,18 @@ def _shape_eliminant(
     return upoly.upoly(combo), all(c >= dim for c in residue)
 
 
-def _chart_point_count(g: MPoly) -> int | None:
-    """Distinct singular points in the chart z = 1, or None when the
-    singular locus is not finite there.
+def _chart_point_count(g: MPoly, tau: int) -> int | None:
+    """Distinct singular points of g = 0, or None when one lies on z = 0.
 
-    Works with the lex elimination data of the dehomogenized Jacobian ideal
-    I.  In shape position (the other variable is a polynomial in the kept
-    one modulo I) the kept coordinate separates the points, so the count is
+    By Euler's relation the chart ideal I of the partials at z = 1 is
+    (G, G_x, G_y) for G = g(x, y, 1), so its standard monomials number the
+    sum of the Tjurina numbers of the singular points in the chart.  Each
+    is at least 1, so that sum is the total Tjurina number tau of the curve
+    exactly when no singular point lies at infinity, and never more: more
+    fails a self-check.
+
+    In shape position (the other variable is a polynomial in the kept one
+    modulo I) the kept coordinate separates the points, so the count is
     the squarefree degree of the eliminant.  Both orientations are tried,
     since their degeneracies are independent.  When neither holds, as at a
     point that is not curvilinear (an ordinary triple point), the squarefree
@@ -131,12 +125,13 @@ def _chart_point_count(g: MPoly) -> int | None:
     gens = [dehomogenize(p) for p in partials(g)]
     gens = [p for p in gens if not p.is_zero()]
     gb = buchberger(Ideal(tuple(gens)))
-    elements = gb.elements
-    if len(elements) == 1 and elements[0].degree() == 0:
-        return 0  # smooth curve: empty singular locus
     standard = _standard_monomials(leading_ideal(gb))
-    if standard is None:
-        return None  # singular locus is not zero-dimensional in this chart
+    if standard is None or len(standard) > tau:
+        raise SelfCheckError("the chart's Tjurina count exceeds the curve's")
+    if len(standard) < tau:
+        return None  # a singular point lies at infinity
+    if tau == 0:
+        return 0  # smooth curve: empty singular locus
     sqfree = []
     for var in (1, 0):
         eliminant, shape = _shape_eliminant(gb, standard, var)
@@ -151,18 +146,22 @@ def _chart_point_count(g: MPoly) -> int | None:
 def count_distinct_singular_points(f: MPoly, seed: int = 0) -> int:
     """Number of distinct singular points of the projective curve f = 0.
 
-    Applies random invertible coordinate changes, at most five, until one
-    leaves no singular point on the line at infinity and the affine chart
-    yields a count.  That first count is a proof, so it is returned as is.
+    Applies random invertible coordinate changes, at most five, until the
+    chart z = 1 holds the whole Tjurina number tau of f, that is, until no
+    singular point lies on the line at infinity.  That first count is a
+    proof, so it is returned as is.  A non-reduced f has no finite tau.
     """
     if f.nvars != 3:
         raise ValueError("expected a polynomial in x, y, z")
+    tau = milnor_profile(f).tau
+    if tau is None:
+        raise SingularLocusError("the singular locus is not finite: the curve is not reduced")
     rng = random.Random(seed)
     for _ in range(5):
         g = _random_change(rng, f)
-        if g is None or not _no_singular_points_at_infinity(g):
+        if g is None:
             continue
-        count = _chart_point_count(g)
+        count = _chart_point_count(g, tau)
         if count is not None:
             return count
     raise SingularLocusError(

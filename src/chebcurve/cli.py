@@ -1,7 +1,8 @@
 """Command-line interface with deterministic JSON and text reports.
 
 Exit codes: 0 success, 1 verification failure (a failed verify item or
-a failed internal self-check), 2 input error, 3 precondition violation
+a failed internal self-check), 2 input error (including an unreadable
+input file or an unwritable --out path), 3 precondition violation
 (including an input of degree above 30, the range of gen -d, and --kmax
 above 4d or --rmax above 3d for an input of degree d).
 Reports are canonical: keys sorted, integers exact, rationals as "p/q"
@@ -118,12 +119,8 @@ def _report(command: str, inputs: dict, results: dict, seed=None, timings=None) 
 
 
 def _read_poly(path: str) -> MPoly:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", 1)
-    return parse(text.strip(), nvars=3)
+    with open(path) as fh:
+        return parse(fh.read().strip(), nvars=3)
 
 
 def _point(pt) -> list:
@@ -442,6 +439,13 @@ def main(argv=None) -> int:
     except SelfCheckError as exc:
         sys.stderr.write(f"error: internal self-check failed: {exc}\n")
         return EXIT_VERIFY_FAILED
+    except OSError as exc:
+        # the input file is read before the report is written
+        if exc.filename is not None and exc.filename == getattr(args, "file", None):
+            sys.stderr.write(f"error: cannot read {exc.filename}: {exc.strerror}\n")
+        else:
+            sys.stderr.write(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}\n")
+        return EXIT_INPUT_ERROR
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR

@@ -145,12 +145,12 @@ def _s_poly(gi: _GPoly, gj: _GPoly) -> dict[Monomial, int]:
     return out
 
 
-def buchberger(ideal: Ideal, strategy: str = "normal", max_degree: int | None = None) -> GroebnerBasis:
+def buchberger(ideal: Ideal, strategy: str = "normal") -> GroebnerBasis:
     """Reduced Groebner basis of the ideal.
 
     strategy selects the S-pair order: "normal" processes pairs by
-    increasing lcm degree (so truncated runs are valid up to max_degree),
-    "fifo" in creation order.  Both must and do return the same basis.
+    increasing lcm degree, "fifo" in creation order.  Both must and do
+    return the same basis.
     """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -199,8 +199,6 @@ def buchberger(ideal: Ideal, strategy: str = "normal", max_degree: int | None = 
         i, j = pair
         gi, gj = basis[i], basis[j]
         lcm = mono_lcm(gi.lm, gj.lm)
-        if max_degree is not None and sum(lcm) > max_degree:
-            continue
         # product criterion: coprime leading monomials reduce to zero
         if lcm == mono_mul(gi.lm, gj.lm):
             continue

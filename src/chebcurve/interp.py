@@ -26,12 +26,6 @@ class EvalMatrix:
     rows: tuple[tuple[AlgNum, ...], ...]
 
 
-def rank_exact(matrix) -> int:
-    """Exact rank: certified by one modular elimination when the matrix has
-    full rank, and by exact elimination otherwise (see ``linalg.rank``)."""
-    return linalg.rank(matrix)
-
-
 def _evaluate_basis(points, monos) -> tuple[tuple, ...]:
     tops = [max(m[i] for m in monos) for i in range(len(monos[0]))]
     rows = []
@@ -69,7 +63,7 @@ def grid_matrix(d: int, r: int) -> EvalMatrix:
 def evaluation_kernel_dim(d: int, r: int) -> int:
     """Dimension of the space of degree <= r polynomials vanishing on the grid."""
     mat = grid_matrix(d, r)
-    return len(mat.columns) - rank_exact(mat.rows)
+    return len(mat.columns) - linalg.rank(mat.rows)
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +80,7 @@ def grid_ranks(d: int) -> tuple[int, ...]:
     ranks = []
     for r in range(d + 1):
         cols = [index[m] for m in monomial_basis(r, nvars=2)]
-        ranks.append(rank_exact([[row[j] for j in cols] for row in full.rows]))
+        ranks.append(linalg.rank([[row[j] for j in cols] for row in full.rows]))
     return tuple(ranks)
 
 
@@ -115,4 +109,4 @@ def node_evaluation_surjective(d: int) -> bool:
     points = tuple((a, b, data.field.one()) for a, b in data.plus_nodes)
     monos = tuple(monomial_basis(2 * d - 3, nvars=3))
     rows = _evaluate_basis(points, monos)
-    return rank_exact(rows) == expected_node_count(d)
+    return linalg.rank(rows) == expected_node_count(d)

@@ -371,11 +371,6 @@ def kernel_certificate(matrix: Iterable, kernel_rows: Sequence) -> int | None:
     return None
 
 
-def kernel_dim(matrix: Iterable, ncols: int) -> int:
-    """Dimension of the null space of a matrix with the given column count."""
-    return ncols - rank(matrix)
-
-
 class Echelon:
     """Incremental echelon form of sparse rows over Q, Q(2*cos(pi/d)) or F_p.
 

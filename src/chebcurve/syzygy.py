@@ -17,7 +17,9 @@ hold trivially, so the columns of the relation matrix R_r are syzygies of
 degree r: J_r R_r = 0 for the Jacobian degree matrix J_r.  Hence
 rank_p R_r <= rank R_r <= syz(r) = ncols J_r - rank J_r <= ncols J_r -
 rank_p J_r, and ``linalg.kernel_certificate`` closes both ranks modulo one
-prime when the ends meet; otherwise they are computed exactly.
+prime when the ends meet; otherwise they are computed exactly.  So
+``verify_resolution`` makes one certificate per degree r = 0..2d, and for
+r = d-2..d+2 reads rank R_r = syz(r) from the same proof.
 """
 
 from __future__ import annotations
@@ -38,26 +40,6 @@ Relations = tuple[tuple[tuple[MPoly, ...], int], ...]
 def _dim_homog(e: int) -> int:
     """Dimension of the homogeneous forms of degree e in three variables."""
     return (e + 2) * (e + 1) // 2 if e >= 0 else 0
-
-
-@dataclass(frozen=True)
-class DegreeMatrix:
-    """Matrix of (a1, a2, a3) -> a1*fx + a2*fy + a3*fz restricted to degree r.
-
-    Columns come in three blocks of the degree-r monomial basis, rows are
-    indexed by the monomials of degree r + d - 1, both in monomial_basis
-    order.
-    """
-
-    d: int
-    r: int
-    column_blocks: int
-    columns_per_block: int
-    rows: tuple[dict[int, object], ...]
-
-    @property
-    def ncols(self) -> int:
-        return self.column_blocks * self.columns_per_block
 
 
 def macaulay_matrix(
@@ -86,22 +68,39 @@ def macaulay_matrix(
     return rows, col
 
 
-def jacobian_degree_matrix(f: MPoly, r: int) -> DegreeMatrix:
-    """Degree-r matrix of the Jacobian combination map of f."""
+def jacobian_degree_matrix(f: MPoly, r: int) -> tuple[list[dict[int, object]], int]:
+    """Rows and column count of (a1, a2, a3) -> a1*fx + a2*fy + a3*fz in degree r.
+
+    Columns come in three blocks of the degree-r monomials, rows are the
+    monomials of degree r + d - 1, both in monomial_basis order.
+    """
     if r < 0:
         raise ValueError("degree must be non-negative")
     if not f.is_homogeneous():
         raise ValueError("expected a homogeneous polynomial")
-    gens = partials(f)
-    d = f.degree()
-    rows, ncols = macaulay_matrix([((g,), r) for g in gens], r + d - 1)
-    return DegreeMatrix(
-        d=d,
-        r=r,
-        column_blocks=len(gens),
-        columns_per_block=ncols // len(gens),
-        rows=tuple(rows),
-    )
+    return macaulay_matrix([((g,), r) for g in partials(f)], r + f.degree() - 1)
+
+
+def _degree_dims(
+    f: MPoly, r: int, relations: Relations = (), relation_rank: bool = False
+) -> tuple[int, tuple[int, int] | None]:
+    """syz(r) of f and, with relation_rank, (rank, kernel dim) of R_r.
+
+    One kernel certificate of J_r against R_r proves syz(r) = ncols J_r -
+    rank J_r and rank R_r = syz(r) together.  Without relations, or when
+    the certificate does not close, both ranks come from ``linalg.rank``,
+    that of R_r only when relation_rank asks for it.
+    """
+    jac, ncols = jacobian_degree_matrix(f, r)
+    rank = None
+    if relations:
+        kernel, nrel = relation_matrix(relations, r)
+        rank = linalg.kernel_certificate(jac, kernel)
+    syz = ncols - (linalg.rank(jac) if rank is None else rank)
+    if not relation_rank:
+        return syz, None
+    rank_rel = syz if rank is not None else linalg.rank(kernel)
+    return syz, (rank_rel, nrel - rank_rel)
 
 
 def syzygy_dim(f: MPoly, r: int, relations: Relations = ()) -> int:
@@ -111,12 +110,7 @@ def syzygy_dim(f: MPoly, r: int, relations: Relations = ()) -> int:
     them the rank of the degree matrix is first read from the kernel
     certificate against the relation matrix.
     """
-    mat = jacobian_degree_matrix(f, r)
-    if relations:
-        rank = linalg.kernel_certificate(mat.rows, relation_matrix(relations, r)[0])
-        if rank is not None:
-            return mat.ncols - rank
-    return mat.ncols - linalg.rank(mat.rows)
+    return _degree_dims(f, r, relations)[0]
 
 
 def syzygy_dim_from_hilbert(f: MPoly, r: int) -> int:
@@ -204,11 +198,7 @@ def relation_module_kernel_dim(d: int, r: int) -> tuple[int, int]:
     The rank is read from the kernel certificate of the degree-r Jacobian
     matrix, whose syzygies these columns are, and otherwise computed.
     """
-    rows, ncols = relation_matrix(chebyshev_relations(d), r)
-    jac = jacobian_degree_matrix(curve_polynomial(d), r)
-    rank_j = linalg.kernel_certificate(jac.rows, rows)
-    rank = jac.ncols - rank_j if rank_j is not None else linalg.rank(rows)
-    return rank, ncols - rank
+    return _degree_dims(curve_polynomial(d), r, chebyshev_relations(d), relation_rank=True)[1]
 
 
 def expected_relation_kernel_dim(d: int, r: int) -> int:
@@ -255,38 +245,34 @@ class ResolutionReport:
         )
 
 
-def verify_resolution(d: int, r_max: int | None = None, second_level: bool = True) -> ResolutionReport:
+def verify_resolution(d: int) -> ResolutionReport:
     """Cross-check the graded resolution of the degree-d Chebyshev curve.
 
     Per degree r the elimination count of syzygies must match the
     rank-nullity count from the Hilbert data; the first non-zero degree is
-    d-2; and the assembled relations have the rank and kernel dimensions the
-    resolution shape dictates.
+    d-2; and for r = d-2..d+2 the assembled relations have the rank and
+    kernel dimensions the resolution shape dictates.  One kernel
+    certificate per degree proves both ranks.
     """
     if d < 3:
         raise ValueError("require d >= 3")
-    if r_max is None:
-        r_max = 2 * d
     f = curve_polynomial(d)
     syz_checks = []
+    rank_checks = []
+    kernel_checks = []
     first_degree = None
     first_count = 0
     # construction raises unless each relation holds identically
     relations = chebyshev_relations(d)
-    for r in range(r_max + 1):
-        got = syzygy_dim(f, r, relations)
-        expected = syzygy_dim_from_hilbert(f, r)
-        syz_checks.append(DegreeCheck(r=r, got=got, expected=expected))
+    for r in range(2 * d + 1):
+        got, second = _degree_dims(f, r, relations, relation_rank=d - 2 <= r <= d + 2)
+        syz_checks.append(DegreeCheck(r=r, got=got, expected=syzygy_dim_from_hilbert(f, r)))
         if first_degree is None and got:
             first_degree = r
             first_count = got
-    rank_checks = []
-    kernel_checks = []
-    if second_level:
-        for r in range(d - 2, d + 3):
-            rank, ker = relation_module_kernel_dim(d, r)
-            expected = syz_checks[r].got if r <= r_max else syzygy_dim(f, r, relations)
-            rank_checks.append(DegreeCheck(r=r, got=rank, expected=expected))
+        if second is not None:
+            rank, ker = second
+            rank_checks.append(DegreeCheck(r=r, got=rank, expected=got))
             kernel_checks.append(DegreeCheck(r=r, got=ker, expected=expected_relation_kernel_dim(d, r)))
     return ResolutionReport(
         d=d,

@@ -1,8 +1,10 @@
 """The rational-arrangement certificate and its building blocks."""
 
+import dataclasses
 import random
 import pytest
 
+from chebcurve import arrangement
 from chebcurve.arrangement import (
     count_distinct_singular_points,
     is_nodal,
@@ -10,6 +12,7 @@ from chebcurve.arrangement import (
     rationality_test,
 )
 from chebcurve.chebyshev import curve_polynomial
+from chebcurve.numberfield import SelfCheckError
 from chebcurve.polyring import MPoly, parse
 
 
@@ -113,6 +116,56 @@ class TestSingularPointCount:
         # per seed must give the same count
         counts = {count_distinct_singular_points(f, seed=seed) for seed in (0, 1, 2)}
         assert len(counts) == 1
+
+    def test_one_groebner_basis_on_t5(self, monkeypatch):
+        # tau rules out points at infinity, so only the chart basis is computed
+        calls = []
+        buchberger = arrangement.buchberger
+
+        def counted(ideal):
+            calls.append(ideal)
+            return buchberger(ideal)
+
+        monkeypatch.setattr(arrangement, "buchberger", counted)
+        assert count_distinct_singular_points(curve_polynomial(5)) == 8
+        assert len(calls) == 1
+
+    def test_chart_count_above_tau_fails_self_check(self, monkeypatch):
+        profile = arrangement.milnor_profile
+
+        def low_tau(f):
+            prof = profile(f)
+            return dataclasses.replace(prof, tau=prof.tau - 1)
+
+        monkeypatch.setattr(arrangement, "milnor_profile", low_tau)
+        with pytest.raises(SelfCheckError):
+            count_distinct_singular_points(curve_polynomial(4))
+
+    def test_points_at_infinity_reject_the_trial(self, monkeypatch):
+        # the first trial keeps x*y*z as it is: of its singular points
+        # (1:0:0), (0:1:0), (0:0:1), two lie on z = 0
+        change = arrangement._random_change
+        chart = arrangement._chart_point_count
+        counts = []
+
+        def identity_first(rng, f):
+            return f if not counts else change(rng, f)
+
+        def recorded(g, tau):
+            counts.append(chart(g, tau))
+            return counts[-1]
+
+        monkeypatch.setattr(arrangement, "_random_change", identity_first)
+        monkeypatch.setattr(arrangement, "_chart_point_count", recorded)
+        assert count_distinct_singular_points(parse("x*y*z")) == 3
+        assert counts[0] is None and counts[-1] == 3
+
+    def test_non_reduced_raises_before_any_trial(self, monkeypatch):
+        from chebcurve.arrangement import SingularLocusError
+
+        monkeypatch.setattr(arrangement, "_random_change", None)
+        with pytest.raises(SingularLocusError):
+            count_distinct_singular_points(parse("x^2*y"))
 
     def test_positive_dimensional_locus_raises(self):
         from chebcurve.arrangement import SingularLocusError

@@ -45,6 +45,20 @@ class TestGen:
         assert rc == 0 and out == ""
         assert json.loads(target.read_text())["results"]["node_count"] == 4
 
+    def test_unwritable_out_file(self, capsys, tmp_path):
+        # an unwritable report path is an input error, not a failed check
+        target = tmp_path / "missing" / "report.json"
+        rc, out, err = run(capsys, "gen", "-d", "3", "--out", str(target))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_out_file_after_a_read(self, capsys, quartic_file, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        rc, out, err = run(capsys, "hilbert", quartic_file, "--out", str(target))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+
 
 @pytest.fixture
 def quartic_file(tmp_path):
@@ -87,6 +101,13 @@ class TestHilbert:
     def test_missing_file_exit(self, capsys):
         rc, _, err = run(capsys, "hilbert", "/nonexistent/nowhere.poly")
         assert rc == 2
+
+    def test_missing_file_message(self, capsys):
+        # an unreadable file is not a parse error: no position is reported
+        rc, out, err = run(capsys, "hilbert", "/nonexistent/nowhere.poly")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: cannot read /nonexistent/nowhere.poly: ")
+        assert "position" not in err and err.count("\n") == 1
 
     def test_kmax_flag(self, capsys, quartic_file):
         rep = run_json(capsys, "hilbert", quartic_file, "--kmax", "15")
@@ -253,6 +274,21 @@ class TestSelfCheckExit:
         assert rc == 1 and out == ""
         assert "internal self-check failed" in err
         assert "stabilization at 2d-3" in err
+
+    def test_chart_count_above_tau(self, capsys, monkeypatch, quartic_file):
+        import dataclasses
+
+        import chebcurve.arrangement as arrangement
+        from chebcurve.hilbert import milnor_profile
+
+        def low_tau(f):
+            prof = milnor_profile(f)
+            return dataclasses.replace(prof, tau=prof.tau - 1)
+
+        monkeypatch.setattr(arrangement, "milnor_profile", low_tau)
+        rc, out, err = run(capsys, "rational-test", quartic_file)
+        assert rc == 1 and out == ""
+        assert err == "error: internal self-check failed: the chart's Tjurina count exceeds the curve's\n"
 
     def test_relation_does_not_vanish(self, capsys, monkeypatch):
         import chebcurve.syzygy as syzygy

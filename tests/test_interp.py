@@ -10,40 +10,40 @@ from chebcurve.interp import (
     evaluation_thresholds,
     grid_matrix,
     node_evaluation_surjective,
-    rank_exact,
 )
+from chebcurve.linalg import rank
 from chebcurve.syzygy import syzygy_dim
 from chebcurve.chebyshev import curve_polynomial
 
 
 class TestRank:
     def test_identity(self):
-        assert rank_exact([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+        assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
     def test_cubic_grid_rows(self):
         rows = [
             [1, Fraction(1, 2), Fraction(1, 2)],
             [1, Fraction(-1, 2), Fraction(-1, 2)],
         ]
-        assert rank_exact(rows) == 2
+        assert rank(rows) == 2
 
     def test_zero_matrix(self):
-        assert rank_exact([[0, 0], [0, 0]]) == 0
+        assert rank([[0, 0], [0, 0]]) == 0
 
     def test_permutation_and_scaling_invariance(self):
         rng = random.Random(7)
         for _ in range(10):
             rows = [[Fraction(rng.randint(-4, 4)) for _ in range(5)] for _ in range(4)]
-            base = rank_exact(rows)
+            base = rank(rows)
             shuffled = list(rows)
             rng.shuffle(shuffled)
-            assert rank_exact(shuffled) == base
+            assert rank(shuffled) == base
             cols = list(range(5))
             rng.shuffle(cols)
-            assert rank_exact([[r[c] for c in cols] for r in shuffled]) == base
+            assert rank([[r[c] for c in cols] for r in shuffled]) == base
             scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
             scaled = [[scale * v for v in rows[0]]] + rows[1:]
-            assert rank_exact(scaled) == base
+            assert rank(scaled) == base
 
 
 class TestThresholds:

@@ -62,9 +62,9 @@ class TestMacaulayMatrix:
     @pytest.mark.parametrize("r", [0, 2, 5])
     def test_jacobian_matrix(self, text, r):
         f = parse(text)
-        mat = jacobian_degree_matrix(f, r)
+        rows, ncols = jacobian_degree_matrix(f, r)
         gens = [((g,), r) for g in partials(f)]
-        check_against_mpoly(mat.rows, mat.ncols, gens, r + f.degree() - 1, seed=r)
+        check_against_mpoly(rows, ncols, gens, r + f.degree() - 1, seed=r)
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_nontrivial_syzygy_matrix(self, monkeypatch, d):
@@ -203,12 +203,12 @@ class TestKernelCertificate:
         f = curve_polynomial(d)
         relations = chebyshev_relations(d)
         for r in range(2 * d + 1):
-            mat = jacobian_degree_matrix(f, r)
+            rows, ncols = jacobian_degree_matrix(f, r)
             kernel, _ = relation_matrix(relations, r)
-            rank_j = linalg.kernel_certificate(mat.rows, kernel)
-            assert rank_j == exact_rank(mat.rows)
+            rank_j = linalg.kernel_certificate(rows, kernel)
+            assert rank_j == exact_rank(rows)
             if d <= 6 or r <= d + 2:
-                assert mat.ncols - rank_j == exact_rank(kernel)
+                assert ncols - rank_j == exact_rank(kernel)
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_resolution_needs_no_exact_elimination(self, monkeypatch, d):
@@ -248,26 +248,42 @@ class TestVerifyResolution:
         assert report.first_syzygy_degree == first_degree
         assert report.first_syzygy_count == first_count
 
-    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("d", range(3, 9))
     def test_syzygy_dims_computed_once_per_degree(self, monkeypatch, d):
+        # one certificate per degree proves syz(r) and, for r = d-2..d+2,
+        # the relation-module rank too
         calls = []
-        dim = syzygy.syzygy_dim
+        certificate = linalg.kernel_certificate
 
-        def counted(f, r, relations=()):
-            calls.append(r)
-            return dim(f, r, relations)
+        def counted(matrix, kernel_rows):
+            calls.append(len(kernel_rows))
+            return certificate(matrix, kernel_rows)
 
-        monkeypatch.setattr(syzygy, "syzygy_dim", counted)
+        monkeypatch.setattr(linalg, "kernel_certificate", counted)
         assert verify_resolution(d).ok
-        assert sorted(calls) == list(range(2 * d + 1))
+        assert calls == [3 * (r + 2) * (r + 1) // 2 for r in range(2 * d + 1)]
 
-    def test_rank_checks_beyond_r_max(self):
-        # degrees above r_max are not in the per-degree loop and are computed
-        d = 5
-        report = verify_resolution(d, r_max=d - 1)
-        assert report.ok
-        f = curve_polynomial(d)
-        assert [c.expected for c in report.rank_checks] == [syzygy_dim(f, r) for r in range(d - 2, d + 3)]
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_exact_path_gives_the_same_report(self, monkeypatch, d):
+        proven = verify_resolution(d)
+        monkeypatch.setattr(linalg, "kernel_certificate", lambda matrix, kernel_rows: None)
+        exact = verify_resolution(d)
+        assert exact.ok
+        assert exact.syzygy_checks == proven.syzygy_checks
+        assert exact.rank_checks == proven.rank_checks
+        assert exact.kernel_checks == proven.kernel_checks
+
+    def test_koszul_trio_alone_fails_the_rank_checks(self, monkeypatch):
+        # without the two relations of degree d-2 = 3 no certificate closes
+        # from r = 3 on, and the exact ranks of R_r fall short of syz(r)
+        koszul = chebyshev_relations(5)[-3:]
+        monkeypatch.setattr(syzygy, "chebyshev_relations", lambda d: koszul)
+        report = verify_resolution(5)
+        assert not report.ok
+        assert all(c.ok for c in report.syzygy_checks)
+        assert [(c.r, c.got, c.expected) for c in report.rank_checks] == [
+            (3, 0, 2), (4, 3, 8), (5, 9, 16), (6, 18, 26), (7, 30, 38)
+        ]
 
     def test_koszul_trio_enters_at_d_minus_1(self):
         f = curve_polynomial(4)
