@@ -30,7 +30,7 @@ from .hilbert import (
 from .interp import evaluation_thresholds, grid_ranks, node_evaluation_surjective
 from .numberfield import AlgNum, SelfCheckError
 from .polyring import MPoly, ParseError, monomial_basis, parse, to_string
-from .syzygy import syzygy_dim, syzygy_dim_from_hilbert, verify_resolution
+from .syzygy import koszul_relations, syzygy_dim, syzygy_dim_from_hilbert, verify_resolution
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -208,11 +208,13 @@ def cmd_syzygy(args) -> int:
         return EXIT_PRECONDITION
     r_max = args.rmax if args.rmax is not None else 2 * f.degree()
     per_degree = []
+    # syzygies lifted at one degree prove the next ones through their multiples
+    relations = koszul_relations(f)
     for r in range(r_max + 1):
         per_degree.append(
             {
                 "r": r,
-                "dimension": syzygy_dim(f, r),
+                "dimension": syzygy_dim(f, r, relations),
                 "expected_from_hilbert": syzygy_dim_from_hilbert(f, r),
             }
         )

@@ -21,6 +21,11 @@ from .polyring import Monomial, MPoly, mono_divides, partials
 
 IntPoly = tuple[int, ...]
 
+# Milnor profiles kept for reuse: one call of rationality_test or one
+# syzygy command reads the profile of one polynomial several times, and a
+# long-lived caller should not keep every polynomial it has seen.
+MILNOR_CACHE_SIZE = 32
+
 
 def minimal_monomial_generators(gens) -> tuple[Monomial, ...]:
     """Drop generators divisible by another generator; dedupe and sort."""
@@ -127,7 +132,7 @@ def _stabilization(dims: list[int]) -> tuple[int | None, int | None]:
     return dims[kmax], k0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MILNOR_CACHE_SIZE)
 def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
     """Jacobian-quotient profile of a homogeneous polynomial in x, y, z."""
     if f.nvars != 3:

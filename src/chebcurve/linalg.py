@@ -26,7 +26,13 @@ reduced modulo the same prime.  ``kernel_certificate`` eliminates A mod p,
 then K restricted to A's u free columns (a kernel vector mod p is fixed by
 its free coordinates, so the restriction keeps rank_p K); when that
 reaches u, every inequality is an equality and rank A = rank_p A,
-rank K = u.  Callers fall back to ``rank`` when it does not.
+rank K = u.  When it falls short and the caller can check a kernel vector
+exactly, the missing vectors are lifted from F_p: the kernel vector mod p
+at a free column comes from A's echelon by back-substitution, and each of
+its entries from ``rational_reconstruction`` (Wang, Guy & Davenport, SIGSAM
+Bull. 1982).  Only a vector whose product with A the caller has proven
+zero over Q joins K, so the sandwich stays a proof.  Callers fall back to
+``rank`` when it does not close.
 
 Solutions, not ranks, come from the echelon over the entries' field: the
 unique solve and the search for the first linear dependency among a
@@ -38,8 +44,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from math import gcd, isqrt, lcm
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .numberfield import AlgNum, real_cyclotomic_field
 
@@ -334,7 +340,38 @@ def rank(matrix: Iterable) -> int:
     return _rank_exact(rows)
 
 
-def kernel_certificate(matrix: Iterable, kernel_rows: Sequence) -> int | None:
+def rational_reconstruction(a: int, p: int) -> Fraction | None:
+    """The fraction n/m = a (mod p) with |n|, m <= sqrt(p/2), or None.
+
+    The extended Euclidean algorithm on (p, a) stops at the first remainder
+    below the bound (Wang, Guy & Davenport, SIGSAM Bull. 1982); such a
+    fraction is unique when it exists.
+    """
+    bound = isqrt(p // 2)
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _kernel_vector(pivots: dict[int, Row], c: int, p: int) -> dict[int, int]:
+    """The kernel vector mod p of an echelon's rows that is 1 at the free
+    column c and 0 at the other free columns, by back-substitution."""
+    x = {c: 1}
+    for j in sorted((j for j in pivots if j < c), reverse=True):
+        s = sum(v * x[k] for k, v in pivots[j].items() if k in x) % p
+        if s:
+            x[j] = p - s
+    return x
+
+
+def kernel_certificate(
+    matrix: Iterable, kernel_rows: Sequence, lift: Callable[[Row], bool] | None = None
+) -> int | None:
     """The proven rank of A from a matrix K with A * K = 0, or None.
 
     ``kernel_rows`` are the rows of K, one for each column of A (so A has
@@ -345,8 +382,18 @@ def kernel_certificate(matrix: Iterable, kernel_rows: Sequence) -> int | None:
     columns of A's echelon determine, so K is restricted to those u rows
     and its columns are eliminated, sparsest first, until u pivots.  When
     they have rank u the ends meet: the result is rank(A), and
-    ``len(kernel_rows)`` minus it is rank(K).  None when p divides a
-    denominator or the ends do not meet.
+    ``len(kernel_rows)`` minus it is rank(K).
+
+    When they fall short and ``lift`` is given, the missing kernel vectors
+    are lifted from F_p.  At each free column c, in order, whose unit
+    vector is independent of the known ones there, the kernel vector mod p
+    that is 1 at c and 0 at the other free columns is back-substituted
+    from A's echelon and each entry is lifted to Q by
+    ``rational_reconstruction``.  ``lift`` must return True only once it
+    has proven A x = 0 exactly for that rational vector x; the vector then
+    joins K, with the same restriction to the free columns, until u are
+    known.  None when p divides a denominator, a reconstruction fails,
+    ``lift`` returns False, or the ends do not meet.
     """
     rows = _to_rows(matrix)
     kernel = _to_rows(kernel_rows)
@@ -360,15 +407,34 @@ def kernel_certificate(matrix: Iterable, kernel_rows: Sequence) -> int | None:
     for row in residues[: len(rows)]:
         echelon.insert(row)
     rank = len(echelon.pivots)
+    nullity = len(kernel) - rank
     # the columns of K restricted to the free columns of A, sparsest first
+    free = [c for c in range(len(kernel)) if c not in echelon.pivots]
     columns: dict[int, dict[int, int]] = {}
-    free = (c for c in range(len(kernel)) if c not in echelon.pivots)
     for i, c in enumerate(free):
         for j, v in residues[len(rows) + c].items():
             columns.setdefault(j, {})[i] = v
-    if _reaches_rank_mod_p(sorted(columns.values(), key=len), p, len(kernel) - rank):
-        return rank
-    return None
+    known = Echelon(p)
+    for column in sorted(columns.values(), key=len):
+        if len(known.pivots) == nullity:
+            break
+        known.insert(column)
+    if lift is not None:
+        for i, c in enumerate(free):
+            if len(known.pivots) == nullity:
+                break
+            if not known.reduce({i: 1}):
+                continue
+            vector = {}
+            for k, v in _kernel_vector(echelon.pivots, c, p).items():
+                q = rational_reconstruction(v, p)
+                if q is None:
+                    return None
+                vector[k] = q
+            if not lift(vector):
+                return None
+            known.insert({i: 1})
+    return rank if len(known.pivots) == nullity else None
 
 
 class Echelon:

@@ -20,12 +20,20 @@ rank_p J_r, and ``linalg.kernel_certificate`` closes both ranks modulo one
 prime when the ends meet; otherwise they are computed exactly.  So
 ``verify_resolution`` makes one certificate per degree r = 0..2d, and for
 r = d-2..d+2 reads rank R_r = syz(r) from the same proof.
+
+For any other input the known syzygies start as the Koszul trio.  When
+the certificate of a degree r falls short, it lifts the missing syzygies
+from their residues mod p; each becomes a relation of degree r only once
+a1*fx + a2*fy + a3*fz = 0 holds identically over Q, and its multiples
+prove the higher degrees.  So the ``syzygy`` command eliminates each J_r
+once, mod p, and a degree whose lift fails takes ``linalg.rank``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from . import linalg
 from .chebyshev import curve_affine, curve_polynomial, minus_conics
@@ -81,21 +89,45 @@ def jacobian_degree_matrix(f: MPoly, r: int) -> tuple[list[dict[int, object]], i
     return macaulay_matrix([((g,), r) for g in partials(f)], r + f.degree() - 1)
 
 
+def _lifter(f: MPoly, r: int, relations: list):
+    """The ``lift`` of ``linalg.kernel_certificate`` for J_r: it reads a
+    kernel vector as a triple of degree-r forms and appends it to
+    relations with degree r exactly when a1*fx + a2*fy + a3*fz = 0."""
+    basis = monomial_basis(r, nvars=3)
+    n = len(basis)
+    grads = partials(f)
+
+    def lift(vector) -> bool:
+        parts: list[dict] = [{}, {}, {}]
+        for c, v in vector.items():
+            parts[c // n][basis[c % n]] = v
+        triple = tuple(MPoly(3, part) for part in parts)
+        if sum((a * g for a, g in zip(triple, grads)), MPoly.zero(3)):
+            return False
+        relations.append((triple, r))
+        return True
+
+    return lift
+
+
 def _degree_dims(
-    f: MPoly, r: int, relations: Relations = (), relation_rank: bool = False
+    f: MPoly, r: int, relations: Sequence = (), relation_rank: bool = False
 ) -> tuple[int, tuple[int, int] | None]:
     """syz(r) of f and, with relation_rank, (rank, kernel dim) of R_r.
 
     One kernel certificate of J_r against R_r proves syz(r) = ncols J_r -
-    rank J_r and rank R_r = syz(r) together.  Without relations, or when
-    the certificate does not close, both ranks come from ``linalg.rank``,
-    that of R_r only when relation_rank asks for it.
+    rank J_r and rank R_r = syz(r) together.  When relations is a list, the
+    certificate lifts the syzygies it misses and appends them to it.
+    Without relations, or when the certificate does not close, both ranks
+    come from ``linalg.rank``, that of R_r only when relation_rank asks
+    for it.
     """
     jac, ncols = jacobian_degree_matrix(f, r)
     rank = None
     if relations:
         kernel, nrel = relation_matrix(relations, r)
-        rank = linalg.kernel_certificate(jac, kernel)
+        lift = _lifter(f, r, relations) if isinstance(relations, list) else None
+        rank = linalg.kernel_certificate(jac, kernel, lift)
     syz = ncols - (linalg.rank(jac) if rank is None else rank)
     if not relation_rank:
         return syz, None
@@ -103,13 +135,19 @@ def _degree_dims(
     return syz, (rank_rel, nrel - rank_rel)
 
 
-def syzygy_dim(f: MPoly, r: int, relations: Relations = ()) -> int:
+def syzygy_dim(f: MPoly, r: int, relations: Sequence | None = None) -> int:
     """Exact dimension of the degree-r syzygies of the partials of f.
 
-    ``relations`` are proven syzygies of f, (triple, degree) pairs; with
-    them the rank of the degree matrix is first read from the kernel
-    certificate against the relation matrix.
+    ``relations`` are proven syzygies of f, (triple, degree) pairs, whose
+    relation matrix certifies the rank of the degree matrix; the default
+    is the Koszul trio.  A list is extended with the syzygies lifted from
+    F_p to close the certificate, each with degree r, so that passing one
+    list for ascending r reuses them through their multiples; a tuple is
+    taken as it is.  When the certificate does not close, the rank is
+    computed by ``linalg.rank``.
     """
+    if relations is None:
+        relations = koszul_relations(f)
     return _degree_dims(f, r, relations)[0]
 
 
@@ -160,10 +198,13 @@ def nontrivial_syzygy(d: int, j: int) -> tuple[MPoly, MPoly, MPoly]:
     return a1, a2, a3
 
 
-def _koszul_relations(f: MPoly) -> list[tuple[MPoly, MPoly, MPoly]]:
+def koszul_relations(f: MPoly) -> list[tuple[tuple[MPoly, MPoly, MPoly], int]]:
+    """The Koszul trio of f, each with its degree d-1, as a list of known
+    syzygies for ``syzygy_dim`` to extend."""
     fx, fy, fz = partials(f)
     zero = MPoly.zero(3)
-    return [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
+    d = f.degree()
+    return [((fy, -fx, zero), d - 1), ((fz, zero, -fx), d - 1), ((zero, fz, -fy), d - 1)]
 
 
 def chebyshev_relations(d: int) -> Relations:
@@ -176,8 +217,8 @@ def chebyshev_relations(d: int) -> Relations:
     field = real_cyclotomic_field(d)
     rels = [(nontrivial_syzygy(d, j), d - 2) for j in range(1, len(minus_conics(d)) + 1)]
     rels += [
-        (tuple(p.map_coefficients(field.from_rational) for p in rel), d - 1)
-        for rel in _koszul_relations(curve_polynomial(d))
+        (tuple(p.map_coefficients(field.from_rational) for p in rel), deg)
+        for rel, deg in koszul_relations(curve_polynomial(d))
     ]
     return tuple(rels)
 

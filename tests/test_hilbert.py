@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebcurve import hilbert
+from chebcurve.arrangement import rationality_test
 from chebcurve.chebyshev import curve_polynomial
 from chebcurve.hilbert import (
     chebyshev_milnor_numerator,
@@ -14,6 +15,7 @@ from chebcurve.hilbert import (
     series_dims,
 )
 from chebcurve.polyring import parse
+from chebcurve.syzygy import syzygy_dim_from_hilbert
 
 
 def brute_dims(gens, kmax):
@@ -119,6 +121,25 @@ class TestMilnorProfile:
         prof = milnor_profile(curve_polynomial(4))
         assert prof.dims[:8] == (1, 3, 6, 7, 6, 4, 4, 4)
         assert prof.tau == 4
+
+    def test_cache_is_bounded(self):
+        milnor_profile.cache_clear()
+        for k in range(1, hilbert.MILNOR_CACHE_SIZE + 6):
+            milnor_profile(parse(f"x^2 + {k}*y^2 + z^2"))
+        assert milnor_profile.cache_info().currsize <= hilbert.MILNOR_CACHE_SIZE
+
+    def test_one_profile_per_call(self):
+        # each caller reads the profile of its polynomial several times
+        f = curve_polynomial(5)
+        milnor_profile.cache_clear()
+        rationality_test(f)
+        info = milnor_profile.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        milnor_profile.cache_clear()
+        for r in range(11):
+            syzygy_dim_from_hilbert(f, r)
+        info = milnor_profile.cache_info()
+        assert (info.misses, info.hits) == (1, 10)
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_oracle_equivalence(self, d):

@@ -20,6 +20,7 @@ from chebcurve.linalg import (
     kernel_certificate,
     primitive,
     rank,
+    rational_reconstruction,
     solve_unique,
     strip_content,
 )
@@ -269,6 +270,66 @@ class TestKernelCertificate:
         a, k, s = case
         exact = exact_rank(a)
         assert kernel_certificate(a, k) == (exact if exact == s else None)
+
+
+def exact_kernel_vector(matrix):
+    """A lift that accepts a vector exactly when A x = 0 over Q."""
+    seen = []
+
+    def lift(x):
+        seen.append(x)
+        return not any(sum((row[c] * v for c, v in x.items()), 0) for row in matrix)
+
+    return lift, seen
+
+
+class TestLiftedKernel:
+    def test_lifts_the_missing_kernel_vector(self):
+        # K holds (1, -1, 0); the kernel vector at free column 2 is (-1, 0, 1)
+        lift, seen = exact_kernel_vector([[1, 1, 1]])
+        assert kernel_certificate([[1, 1, 1]], [[1], [-1], [0]], lift) == 1
+        assert seen == [{0: -1, 2: 1}]
+
+    def test_rational_entries(self):
+        lift, seen = exact_kernel_vector([[2, 0, 1]])
+        assert kernel_certificate([[2, 0, 1]], [[], [], []], lift) == 1
+        assert seen == [{1: 1}, {2: 1, 0: Fraction(-1, 2)}]
+
+    def test_known_vectors_are_not_lifted_again(self):
+        lift, seen = exact_kernel_vector([[1, 1, 1]])
+        assert kernel_certificate([[1, 1, 1]], [[1, 1], [-1, 0], [0, -1]], lift) == 1
+        assert seen == []
+
+    def test_rejected_vector(self):
+        assert kernel_certificate([[1, 1, 1]], [[1], [-1], [0]], lambda x: False) is None
+
+    def test_unreconstructible_entry(self):
+        # -1/100003 mod p reconstructs to the wrong fraction 21474/19225,
+        # and 1000001/1 to none
+        lift, seen = exact_kernel_vector([[100003, 1]])
+        assert kernel_certificate([[100003, 1]], [[], []], lift) is None
+        assert seen == [{1: 1, 0: Fraction(21474, 19225)}]
+        lift, seen = exact_kernel_vector([[1, -1000001]])
+        assert kernel_certificate([[1, -1000001]], [[], []], lift) is None
+        assert seen == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_pairs())
+    def test_lifted_rank_is_exact(self, case):
+        a, k, s = case
+        lift, _ = exact_kernel_vector(a)
+        got = kernel_certificate(a, [row[:1] for row in k], lift)
+        assert got is None or got == exact_rank(a)
+
+
+class TestRationalReconstruction:
+    @given(st.integers(-32767, 32767), st.integers(1, 32767))
+    def test_small_fractions_come_back(self, n, m):
+        p = _modulus(2)
+        assert rational_reconstruction(n * pow(m, -1, p) % p, p) == Fraction(n, m)
+
+    def test_no_small_fraction(self):
+        assert rational_reconstruction(1000001, _modulus(2)) is None
 
 
 class TestCertificate:

@@ -1,14 +1,20 @@
 """Syzygy dimensions, explicit relations, resolution cross-checks."""
 
+import importlib.util
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chebcurve import linalg, syzygy
+from chebcurve import cli, linalg, syzygy
 from chebcurve.chebyshev import build, curve_polynomial, minus_conics
 from chebcurve.numberfield import real_cyclotomic_field
-from chebcurve.polyring import MPoly, monomial_basis, parse, partials
+from chebcurve.polyring import MPoly, monomial_basis, parse, partials, variables
 from chebcurve.syzygy import (
     chebyshev_relations,
     expected_relation_kernel_dim,
@@ -93,9 +99,9 @@ class TestMacaulayMatrix:
         captured = []
         certificate = linalg.kernel_certificate
 
-        def capture(matrix, kernel_rows):
+        def capture(matrix, kernel_rows, lift=None):
             captured.append(kernel_rows)
-            return certificate(matrix, kernel_rows)
+            return certificate(matrix, kernel_rows, lift)
 
         monkeypatch.setattr(linalg, "kernel_certificate", capture)
         field = real_cyclotomic_field(d)
@@ -255,9 +261,9 @@ class TestVerifyResolution:
         calls = []
         certificate = linalg.kernel_certificate
 
-        def counted(matrix, kernel_rows):
+        def counted(matrix, kernel_rows, lift=None):
             calls.append(len(kernel_rows))
-            return certificate(matrix, kernel_rows)
+            return certificate(matrix, kernel_rows, lift)
 
         monkeypatch.setattr(linalg, "kernel_certificate", counted)
         assert verify_resolution(d).ok
@@ -266,7 +272,7 @@ class TestVerifyResolution:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_exact_path_gives_the_same_report(self, monkeypatch, d):
         proven = verify_resolution(d)
-        monkeypatch.setattr(linalg, "kernel_certificate", lambda matrix, kernel_rows: None)
+        monkeypatch.setattr(linalg, "kernel_certificate", lambda matrix, kernel_rows, lift=None: None)
         exact = verify_resolution(d)
         assert exact.ok
         assert exact.syzygy_checks == proven.syzygy_checks
@@ -290,3 +296,148 @@ class TestVerifyResolution:
         # one distinguished relation at r=2; Koszul trio appears at r=3
         assert syzygy_dim(f, 2) == 1
         assert syzygy_dim(f, 3) == 6  # 3 shifts of the distinguished one + 3 Koszul
+
+
+def lifted_dims(f, r_max):
+    """syz(0..r_max) as the syzygy command computes them, and the known
+    syzygies they leave: the Koszul trio and each lifted one."""
+    relations = syzygy.koszul_relations(f)
+    return [syzygy_dim(f, r, relations) for r in range(r_max + 1)], relations
+
+
+def is_syzygy(f, triple):
+    return not sum((a * g for a, g in zip(triple, partials(f))), MPoly.zero(3))
+
+
+def seed_one_input(job_name):
+    """The input file text of a jacobian-profiles benchmark job, seed 1."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    (job,) = [j for j in workloads.jacobian_profiles(random.Random(1)) if j.name == job_name]
+    return job.poly
+
+
+class TestLiftedSyzygies:
+    @pytest.mark.parametrize("d,count", [(3, 1), (4, 1), (5, 2), (6, 2), (7, 3), (8, 3)])
+    def test_chebyshev_lifts_the_first_syzygies(self, monkeypatch, d, count):
+        # the distinguished relations of degree d-2 are lifted once, and
+        # their multiples prove every later degree without exact elimination
+        def refuse(rows):
+            raise AssertionError("exact elimination reached")
+
+        monkeypatch.setattr(linalg, "_rank_exact", refuse)
+        f = curve_polynomial(d)
+        dims, relations = lifted_dims(f, 2 * d)
+        assert dims == [syzygy_dim_from_hilbert(f, r) for r in range(2 * d + 1)]
+        assert [deg for _, deg in relations[3:]] == [d - 2] * count
+        assert all(is_syzygy(f, triple) for triple, _ in relations)
+
+    @pytest.mark.parametrize("text", ["x^3 + y^3 + z^3", "x^4 + y^4 + z^4", "x^5 + y^5 + z^5"])
+    def test_smooth_input_lifts_nothing(self, text):
+        f = parse(text)
+        dims, relations = lifted_dims(f, 2 * f.degree())
+        assert dims == [koszul_count(f.degree(), r) for r in range(2 * f.degree() + 1)]
+        assert len(relations) == 3
+
+    def test_smooth_dense_input_lifts_nothing(self):
+        f = parse(seed_one_input("syzygy-dense5"))
+        _, relations = lifted_dims(f, 10)
+        assert len(relations) == 3
+
+    def test_corrupted_reconstruction_is_rejected(self, monkeypatch):
+        f = curve_polynomial(5)
+        honest, _ = lifted_dims(f, 10)
+        reconstruct = linalg.rational_reconstruction
+        corrupted = []
+
+        def corrupt(a, p):
+            q = reconstruct(a, p)
+            if q and not corrupted:
+                corrupted.append(q)
+                return q + 1
+            return q
+
+        exact = []
+        rank_exact = linalg._rank_exact
+        monkeypatch.setattr(linalg, "rational_reconstruction", corrupt)
+        monkeypatch.setattr(linalg, "_rank_exact", lambda rows: exact.append(1) or rank_exact(rows))
+        dims, relations = lifted_dims(f, 10)
+        assert corrupted and exact
+        assert dims == honest
+        assert all(is_syzygy(f, triple) for triple, _ in relations)
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_no_reduction_mod_p_takes_the_exact_path(self, monkeypatch, d):
+        f = curve_polynomial(d)
+        proven, _ = lifted_dims(f, 2 * d)
+        monkeypatch.setattr(linalg, "_reduce_mod_p", lambda rows: None)
+        dims, relations = lifted_dims(f, 2 * d)
+        assert dims == proven
+        assert len(relations) == 3
+
+    @pytest.mark.parametrize("name", ["T5", "T6", "T7", "T8", "dense5", "dense6"])
+    def test_syzygy_command_needs_no_exact_elimination(self, monkeypatch, capsys, tmp_path, name):
+        # J_r is eliminated once, mod p, in the certificate: neither a second
+        # elimination (linalg.rank) nor the exact one is reached
+        def refuse(*args):
+            raise AssertionError("second elimination reached")
+
+        monkeypatch.setattr(linalg, "_rank_exact", refuse)
+        monkeypatch.setattr(linalg, "rank", refuse)
+        path = tmp_path / "f.poly"
+        path.write_text(seed_one_input(f"syzygy-{name}"))
+        assert cli.main(["syzygy", str(path)]) == 0
+        per_degree = json.loads(capsys.readouterr().out)["results"]["per_degree"]
+        assert all(e["dimension"] == e["expected_from_hilbert"] for e in per_degree)
+
+
+coeff = st.integers(-2, 2)
+
+
+@st.composite
+def singular_forms(draw):
+    """Ternary forms of degree 2-4: products of lines and conics, some with
+    a repeated factor, or binary forms (cones, with f_z = 0)."""
+    x, y, z = variables(3)
+    if draw(st.booleans()):
+        d = draw(st.integers(2, 4))
+        cs = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1).filter(any))
+        return sum((c * x**i * y ** (d - i) for i, c in enumerate(cs)), MPoly.zero(3))
+    lines = st.tuples(coeff, coeff, coeff).filter(any)
+    conics = st.tuples(*[coeff] * 6).filter(any)
+    kinds = draw(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=4).filter(lambda k: 2 <= sum(k) <= 4))
+    factors = []
+    for k in kinds:
+        if k == 1:
+            a, b, c = draw(lines)
+            factors.append(a * x + b * y + c * z)
+        else:
+            a, b, c, e, g, h = draw(conics)
+            factors.append(a * x * x + b * x * y + c * y * y + e * x * z + g * y * z + h * z * z)
+    if sum(kinds) + kinds[0] <= 4 and draw(st.booleans()):
+        factors.append(factors[0])
+    f = factors[0]
+    for g in factors[1:]:
+        f = f * g
+    return f
+
+
+class TestSyzygyOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(singular_forms())
+    @example(parse("x^3 + y^3"))
+    @example(parse("x^2*y"))
+    @example(parse("x*y*z"))
+    def test_dims_match_sympy_and_the_exact_path(self, f):
+        sympy = pytest.importorskip("sympy")
+        d = f.degree()
+        dims, relations = lifted_dims(f, d + 1)
+        for r, got in enumerate(dims):
+            rows, ncols = jacobian_degree_matrix(f, r)
+            dense = [[sympy.Rational(row.get(c, 0)) for c in range(ncols)] for row in rows]
+            assert got == ncols - sympy.Matrix(dense).to_DM(sympy.QQ).rank()
+            assert got == ncols - exact_rank(rows)
+        assert all(is_syzygy(f, triple) for triple, _ in relations)
