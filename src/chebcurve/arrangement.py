@@ -6,12 +6,15 @@ dimension at 2d-3: equality certifies that every irreducible component is
 rational, and the difference reports the total geometric genus otherwise.
 Nodality itself is certified by counting distinct singular points after a
 random coordinate change that leaves none at infinity, which holds exactly
-when the chart ideal has tau standard monomials: in shape position the
-squarefree degree of one eliminant is the count, and otherwise the radical
-of the chart ideal (Seidenberg's lemma) has one standard monomial per
-point.  Reducedness needs no gcd: in characteristic 0 a homogeneous f
-is reduced exactly when its singular locus is finite, which the Hilbert
-numerator of the Milnor algebra already shows.
+when the chart ideal has tau standard monomials.  A singular point is a
+node exactly when the Hessian does not vanish there, so all tau points are
+nodes exactly when the Hessian is a unit modulo the chart ideal, that is
+when its multiplication matrix has full rank, which one elimination mod p
+proves.  Otherwise the radical of the chart ideal (Seidenberg's lemma) has
+one standard monomial per point.  Reducedness needs no gcd: in
+characteristic 0 a homogeneous f is reduced exactly when its singular
+locus is finite, which the Hilbert numerator of the Milnor algebra already
+shows.
 """
 
 from __future__ import annotations
@@ -71,37 +74,29 @@ def _standard_monomials(lead: tuple[Monomial, ...]) -> list[Monomial] | None:
     return out
 
 
-def _shape_eliminant(
-    gb: GroebnerBasis, standard: list[Monomial], var: int
-) -> tuple[upoly.Coeffs, bool]:
-    """Eliminant in the kept variable, and whether shape position holds.
+def _row(p: MPoly, index: dict[Monomial, int]) -> dict[int, Fraction]:
+    """A normal form as a sparse row over the standard monomials."""
+    return {index[m]: c for m, c in p.terms.items()}
 
-    Walks the powers of the kept variable through their normal forms until
-    the first dependency, which is the pure eliminant; the shape holds when
-    the other variable's class is a combination of those powers (the lex
-    basis then contains an element linear in it).
-    """
+
+def _eliminant(gb: GroebnerBasis, standard: list[Monomial], var: int) -> upoly.Coeffs:
+    """Eliminant in the kept variable: the first dependency among the normal
+    forms of its powers, which is its minimal polynomial modulo the ideal."""
     index = {m: i for i, m in enumerate(standard)}
     dim = len(standard)
-
-    def nf_row(p: MPoly) -> dict[int, Fraction]:
-        return {index[m]: c for m, c in normal_form(p, gb).terms.items()}
 
     def powers():
         # x^(k+1) and x * NF(x^k) have the same normal form
         v = MPoly.variable(var, 2)
         power = MPoly.constant(Fraction(1), 2)
         for _ in range(dim + 1):
-            row = nf_row(power)
-            yield row
-            power = MPoly(2, {standard[i]: c for i, c in row.items()}) * v
+            yield _row(power, index)
+            power = normal_form(power * v, gb)
 
-    echelon = linalg.Echelon()
-    combo = linalg.first_dependency(powers(), dim, echelon)
+    combo = linalg.first_dependency(powers(), dim)
     if combo is None:
         raise SelfCheckError("no univariate dependency in a finite quotient")
-    residue = echelon.reduce(nf_row(MPoly.variable(1 - var, 2)))
-    return upoly.upoly(combo), all(c >= dim for c in residue)
+    return upoly.upoly(combo)
 
 
 def _chart_point_count(g: MPoly, tau: int) -> int | None:
@@ -114,13 +109,14 @@ def _chart_point_count(g: MPoly, tau: int) -> int | None:
     exactly when no singular point lies at infinity, and never more: more
     fails a self-check.
 
-    In shape position (the other variable is a polynomial in the kept one
-    modulo I) the kept coordinate separates the points, so the count is
-    the squarefree degree of the eliminant.  Both orientations are tried,
-    since their degeneracies are independent.  When neither holds, as at a
-    point that is not curvilinear (an ordinary triple point), the squarefree
-    eliminants in x and in y are added to I: by Seidenberg's lemma the sum
-    is the radical of I, whose standard monomials count the points.
+    A singular point is a node exactly when the Hessian of G does not
+    vanish there, so every point is a node, and there are tau of them,
+    exactly when the Hessian is a unit in Q[x, y]/I.  By Stickelberger's
+    theorem that holds exactly when its tau x tau multiplication matrix has
+    full rank; its row at a standard monomial s = x_v * s' is the normal
+    form of x_v times the row at s'.  Otherwise the squarefree eliminants
+    in y and in x are added to I: by Seidenberg's lemma the sum is the
+    radical of I, whose standard monomials count the points.
     """
     gens = [dehomogenize(p) for p in partials(g)]
     gens = [p for p in gens if not p.is_zero()]
@@ -132,12 +128,21 @@ def _chart_point_count(g: MPoly, tau: int) -> int | None:
         return None  # a singular point lies at infinity
     if tau == 0:
         return 0  # smooth curve: empty singular locus
+    gx, gy = (dehomogenize(g).derivative(v) for v in (0, 1))
+    gxy = gx.derivative(1)
+    x, y = MPoly.variable(0, 2), MPoly.variable(1, 2)
+    # standard monomials come in the order (0, 0), (0, 1), .., (1, 0), ..
+    products = {(0, 0): normal_form(gx.derivative(0) * gy.derivative(1) - gxy * gxy, gb)}
+    for a, b in standard[1:]:
+        parent = products[a, b - 1] * y if b else products[a - 1, 0] * x
+        products[a, b] = normal_form(parent, gb)
+    index = {m: i for i, m in enumerate(standard)}
+    if linalg.rank(_row(p, index) for p in products.values()) == tau:
+        return tau
     sqfree = []
     for var in (1, 0):
-        eliminant, shape = _shape_eliminant(gb, standard, var)
+        eliminant = _eliminant(gb, standard, var)
         part = upoly.exact_div(eliminant, upoly.gcd_poly(eliminant, upoly.derivative(eliminant)))
-        if shape:
-            return upoly.degree(part)
         sqfree.append(upoly.evaluate(part, MPoly.variable(var, 2)))
     radical = buchberger(Ideal(gb.elements + tuple(sqfree)))
     return len(_standard_monomials(leading_ideal(radical)))

@@ -27,9 +27,9 @@ from .hilbert import (
     expected_node_count,
     milnor_profile,
 )
-from .interp import evaluation_thresholds, grid_ranks, node_evaluation_surjective
+from .interp import evaluation_kernel_dim, evaluation_thresholds, node_evaluation_surjective
 from .numberfield import AlgNum, SelfCheckError
-from .polyring import MPoly, ParseError, monomial_basis, parse, to_string
+from .polyring import MPoly, ParseError, parse, to_string
 from .syzygy import koszul_relations, syzygy_dim, syzygy_dim_from_hilbert, verify_resolution
 
 EXIT_OK = 0
@@ -227,10 +227,7 @@ def cmd_syzygy(args) -> int:
 def cmd_interp(args) -> int:
     t0 = time.perf_counter()
     max_inj, min_surj = evaluation_thresholds(args.d)
-    kernel = [
-        {"r": r, "kernel_dim": len(monomial_basis(r, nvars=2)) - rk}
-        for r, rk in enumerate(grid_ranks(args.d))
-    ]
+    kernel = [{"r": r, "kernel_dim": evaluation_kernel_dim(args.d, r)} for r in range(args.d + 1)]
     results = {
         "d": args.d,
         "max_injective_degree": max_inj,

@@ -37,10 +37,11 @@ def minimal_monomial_generators(gens) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _mono_numerator(gens: tuple[Monomial, ...]) -> IntPoly:
+def _mono_numerator(gens: tuple[Monomial, ...], memo: dict) -> IntPoly:
     if not gens:
         return (1,)
+    if gens in memo:
+        return memo[gens]
     nvars = len(gens[0])
     if any(sum(m) == 0 for m in gens):
         return ()
@@ -63,12 +64,16 @@ def _mono_numerator(gens: tuple[Monomial, ...]) -> IntPoly:
     colon_side = minimal_monomial_generators(
         tuple(max(m[i] - pivot[i], 0) for i in range(nvars)) for m in gens
     )
-    return upoly.add(_mono_numerator(sum_side), upoly.shift(_mono_numerator(colon_side), e))
+    memo[gens] = upoly.add(
+        _mono_numerator(sum_side, memo), upoly.shift(_mono_numerator(colon_side, memo), e)
+    )
+    return memo[gens]
 
 
 def hilbert_numerator(gens) -> IntPoly:
     """Numerator P(t) of the series P(t)/(1-t)^3 of S modulo a monomial ideal."""
-    return _mono_numerator(minimal_monomial_generators(gens))
+    # the pivot recursion meets some subideals more than once
+    return _mono_numerator(minimal_monomial_generators(gens), {})
 
 
 def series_dims(numerator: IntPoly, kmax: int) -> list[int]:

@@ -61,9 +61,11 @@ def grid_matrix(d: int, r: int) -> EvalMatrix:
 
 
 def evaluation_kernel_dim(d: int, r: int) -> int:
-    """Dimension of the space of degree <= r polynomials vanishing on the grid."""
-    mat = grid_matrix(d, r)
-    return len(mat.columns) - linalg.rank(mat.rows)
+    """Dimension of the space of degree <= r polynomials vanishing on the grid,
+    for 0 <= r <= d."""
+    if not 0 <= r <= d:
+        raise ValueError("require 0 <= r <= d")
+    return len(monomial_basis(r, nvars=2)) - grid_ranks(d)[r]
 
 
 @lru_cache(maxsize=None)

@@ -36,7 +36,9 @@ zero over Q joins K, so the sandwich stays a proof.  Callers fall back to
 
 Solutions, not ranks, come from the echelon over the entries' field: the
 unique solve and the search for the first linear dependency among a
-stream of vectors, which gives minimal polynomials and eliminants.  No
+stream of vectors, which gives minimal polynomials and the eliminants of
+the radical count in ``arrangement`` (nodal curves never need it: ``rank``
+proves their Hessian's multiplication matrix invertible mod p).  No
 floating point anywhere.
 """
 
@@ -250,13 +252,6 @@ def _residue(q: Fraction, p: int) -> int | None:
     return q.numerator * pow(den, -1, p) % p
 
 
-def _residue_or_raise(q: Fraction, p: int) -> int:
-    r = _residue(q, p)
-    if r is None:
-        raise ValueError(f"{q} has no residue modulo {p}")
-    return r
-
-
 def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
     """The rows' image in F_p, with p; None when no reduction applies.
 
@@ -450,26 +445,10 @@ class Echelon:
         self.p = p
         self.pivots: dict[int, Row] = {}
 
-    @property
-    def unit(self):
-        """The one of the echelon's field: Fraction(1) over Q, 1 over F_p."""
-        return Fraction(1) if self.p is None else 1
-
     def reduce(self, row: Row) -> Row:
-        """The residue of row: empty, or led by a column without a pivot.
-
-        Over F_p, Fraction entries are mapped to their residues; a
-        denominator divisible by p raises ValueError.
-        """
+        """The residue of row: empty, or led by a column without a pivot."""
         p = self.p
-        if p is None:
-            row = dict(row)
-        else:
-            row = {
-                c: r
-                for c, v in row.items()
-                if (r := v % p if type(v) is int else _residue_or_raise(v, p))
-            }
+        row = dict(row) if p is None else {c: r for c, v in row.items() if (r := v % p)}
         while row:
             lead = min(row)
             prow = self.pivots.get(lead)
@@ -531,24 +510,20 @@ def solve_unique(matrix: Iterable, rhs: Sequence, ncols: int) -> list:
     return [x[c] for c in range(ncols)]
 
 
-def first_dependency(vectors: Iterable, ncols: int, echelon: Echelon | None = None) -> list | None:
+def first_dependency(vectors: Iterable, ncols: int) -> list | None:
     """The first linear dependency among vectors with columns below ncols.
 
     Vector k is tagged with a unit in column ncols + k and inserted into an
     echelon; the first one whose own part reduces to zero gives coefficients
     c_0..c_k with sum c_i * v_i = 0 and c_k = 1; None when the vectors are
-    independent.  Vectors are consumed one at a time.  The rows of the
-    vectors before the dependency stay in ``echelon`` when one is passed,
-    so that membership in their span can be tested afterwards.
+    independent.  Vectors are consumed one at a time.
     """
-    if echelon is None:
-        echelon = Echelon()
-    unit = echelon.unit
+    echelon = Echelon()
     for k, vec in enumerate(vectors):
         row = _to_row(vec)
-        row[ncols + k] = unit
+        row[ncols + k] = Fraction(1)
         residue = echelon.reduce(row)
         if min(residue) >= ncols:
-            return [residue.get(ncols + i, 0 * unit) for i in range(k + 1)]
+            return [residue.get(ncols + i, Fraction(0)) for i in range(k + 1)]
         echelon.insert(residue)
     return None

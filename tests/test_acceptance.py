@@ -37,10 +37,7 @@ def criterion(number, label):
 
 def test_criterion_1_closed_form_numerators():
     with criterion(1, "closed-form numerators d=3..8"):
-        import chebcurve.hilbert as hilbert_mod
-
         milnor_profile.cache_clear()
-        hilbert_mod._mono_numerator.cache_clear()
         for d in range(3, 9):
             start = time.perf_counter()
             gens = tuple(p for p in partials(curve_polynomial(d)) if not p.is_zero())

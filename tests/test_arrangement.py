@@ -93,8 +93,8 @@ class TestSingularPointCount:
         assert count_distinct_singular_points(curve_polynomial(5), seed=seed) == 8
 
     def test_ordinary_triple_point_counts_once(self):
-        # not curvilinear: no coordinate change gives shape position, so the
-        # count comes from the radical of the chart ideal
+        # the Hessian vanishes at a triple point, so the count comes from
+        # the radical of the chart ideal
         assert count_distinct_singular_points(parse("x^2*y - x*y^2")) == 1
 
     def test_triple_point_and_nodes(self):
@@ -174,6 +174,56 @@ class TestSingularPointCount:
             count_distinct_singular_points(parse("x^2*y"))
 
 
+def _seeded_products(seed, degrees):
+    """Reduced products of lines and conics, one of each given degree."""
+    rng = random.Random(seed)
+    out = []
+    for target in degrees:
+        while True:
+            f = _random_factor(rng)
+            while f.degree() < target:
+                f = f * _random_factor(rng)
+            if f.degree() == target and is_reduced(f):
+                out.append(f)
+                break
+    return out
+
+
+class TestHessianCertificate:
+    """A singular point is a node exactly when the Hessian of the chart
+    polynomial is nonzero there, so a unit Hessian proves tau nodes; any
+    other input is counted through the Seidenberg radical."""
+
+    CORPUS = (
+        [curve_polynomial(d) for d in range(4, 9)]
+        + _seeded_products(7, (4, 4, 5, 5))
+        + [
+            parse("x + y + z") * parse("x^3 + y^3 + z^3"),
+            parse("x + y") * parse("x^3 + y^3 + z^3"),  # tangent at a flex
+        ]
+    )
+
+    @pytest.mark.parametrize("f", CORPUS)
+    def test_radical_path_agrees(self, f, monkeypatch):
+        expected = count_distinct_singular_points(f)
+        monkeypatch.setattr(arrangement.linalg, "rank", lambda rows: 0)
+        assert count_distinct_singular_points(f) == expected
+
+    def test_t10_without_gcd(self, monkeypatch):
+        calls = []
+        gcd_poly = arrangement.upoly.gcd_poly
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gcd_poly(a, b)
+
+        monkeypatch.setattr(arrangement.upoly, "gcd_poly", counted)
+        rep = rationality_test(curve_polynomial(10))
+        assert rep.verdict == "all_rational"
+        assert rep.distinct_singular_points == 40
+        assert calls == []
+
+
 class TestIsNodal:
     def test_chebyshev_quintic(self):
         assert is_nodal(curve_polynomial(5))
@@ -214,6 +264,13 @@ class TestRationalityTest:
         assert rep.verdict == "not_nodal"
         assert rep.tau == 2
         assert rep.distinct_singular_points == 1
+
+    def test_two_tacnodes(self):
+        # two conics tangent at (0:0:1) and (0:1:0), tau 3 each
+        rep = rationality_test(parse("y^2*z^2 - x^4"))
+        assert rep.verdict == "not_nodal"
+        assert rep.tau == 6
+        assert rep.distinct_singular_points == 2
 
     def test_not_reduced(self):
         rep = rationality_test(parse("x^2*y"))

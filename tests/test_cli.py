@@ -243,8 +243,8 @@ class TestRationalTest:
         assert rep["results"]["tau"] == 12
 
     def test_triple_point_certified(self, capsys, tmp_path):
-        # no coordinate change puts an ordinary triple point in shape
-        # position; the radical count still certifies it
+        # the Hessian vanishes at an ordinary triple point; the radical
+        # count certifies it
         path = tmp_path / "triple.poly"
         path.write_text("x^2*y - x*y^2")  # three concurrent lines
         rep = run_json(capsys, "rational-test", str(path))

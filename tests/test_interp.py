@@ -64,6 +64,11 @@ class TestKernelDims:
     def test_values(self, d, r, expected):
         assert evaluation_kernel_dim(d, r) == expected
 
+    @pytest.mark.parametrize("r", [-1, 6])
+    def test_degree_outside_zero_to_d_raises(self, r):
+        with pytest.raises(ValueError):
+            evaluation_kernel_dim(5, r)
+
     @pytest.mark.parametrize("d", range(3, 7))
     def test_vanishing_below_and_formula_above(self, d):
         npoints = (d - 1) ** 2 - __import__("chebcurve.hilbert", fromlist=["x"]).expected_node_count(d)

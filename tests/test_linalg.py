@@ -167,12 +167,6 @@ class TestFirstDependency:
         assert first_dependency([[1, 0, 0], [1, 1, 0], [0, 0, 5]], 3) is None
         assert first_dependency([], 3) is None
 
-    def test_span_membership_after_dependency(self):
-        ech = Echelon()
-        assert first_dependency([[1, 1, 0], [2, 2, 0]], 3, ech) == [-2, 1]
-        assert all(c >= 3 for c in ech.reduce({0: Fraction(5), 1: Fraction(5)}))
-        assert any(c < 3 for c in ech.reduce({1: Fraction(1)}))
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -420,21 +414,6 @@ class TestEchelonModP:
         assert ech.insert({0: 10, 1: 3}) == {1: 3}
         assert ech.pivots == {1: {1: 1}}
         assert ech.reduce({1: -4, 2: 7}) == {2: 2}
-
-    def test_fraction_entries_are_mapped_to_residues(self):
-        ech = Echelon(7)
-        ech.insert({0: 1, 1: 1})
-        # 1/2 = 4 mod 7, and 3 - 4 = 6 mod 7
-        assert ech.reduce({0: Fraction(1, 2), 1: 3}) == {1: 6}
-        assert Echelon(7).insert({0: Fraction(1, 2)}) == {0: 4}
-        with pytest.raises(ValueError):
-            Echelon(7).insert({0: Fraction(1, 14)})
-
-    def test_first_dependency_over_f7(self):
-        # [2, 4] = 2 * [1, 2] and -2 = 5 mod 7
-        assert first_dependency([[1, 2], [2, 4]], 2, echelon=Echelon(7)) == [5, 1]
-        combo = first_dependency([[1, 2], [0, 0]], 2, echelon=Echelon(7))
-        assert combo == [0, 1] and all(type(c) is int for c in combo)
 
     @settings(max_examples=80, deadline=None)
     @given(
