@@ -10,8 +10,8 @@ when the chart ideal has tau standard monomials.  A singular point is a
 node exactly when the Hessian does not vanish there, so all tau points are
 nodes exactly when the Hessian is a unit modulo the chart ideal, that is
 when its multiplication matrix has full rank, which one elimination mod p
-proves.  Otherwise the radical of the chart ideal (Seidenberg's lemma) has
-one standard monomial per point.  Reducedness needs no gcd: in
+proves.  Otherwise the rank of Hermite's trace form on the chart's
+quotient algebra counts the points.  Reducedness needs no gcd: in
 characteristic 0 a homogeneous f is reduced exactly when its singular
 locus is finite, which the Hilbert numerator of the Milnor algebra already
 shows.
@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, upoly
+from . import linalg
 from .groebner import GroebnerBasis, Ideal, buchberger, leading_ideal, normal_form
 from .hilbert import milnor_profile
 from .numberfield import SelfCheckError
@@ -79,24 +79,25 @@ def _row(p: MPoly, index: dict[Monomial, int]) -> dict[int, Fraction]:
     return {index[m]: c for m, c in p.terms.items()}
 
 
-def _eliminant(gb: GroebnerBasis, standard: list[Monomial], var: int) -> upoly.Coeffs:
-    """Eliminant in the kept variable: the first dependency among the normal
-    forms of its powers, which is its minimal polynomial modulo the ideal."""
-    index = {m: i for i, m in enumerate(standard)}
-    dim = len(standard)
+def _multiples(p: MPoly, monomials: list[Monomial], gb: GroebnerBasis) -> dict[Monomial, MPoly]:
+    """NF(p * m) for each monomial m of a set closed under division.
 
-    def powers():
-        # x^(k+1) and x * NF(x^k) have the same normal form
-        v = MPoly.variable(var, 2)
-        power = MPoly.constant(Fraction(1), 2)
-        for _ in range(dim + 1):
-            yield _row(power, index)
-            power = normal_form(power * v, gb)
-
-    combo = linalg.first_dependency(powers(), dim)
-    if combo is None:
-        raise SelfCheckError("no univariate dependency in a finite quotient")
-    return upoly.upoly(combo)
+    The set is listed in increasing (a, b) order, so the parent of x^a y^b
+    (divided by y, or by x when b = 0) comes first, and the value at x^a y^b
+    is the normal form of that variable times the parent's value: each
+    normal form is of a low-degree polynomial.
+    """
+    x, y = MPoly.variable(0, 2), MPoly.variable(1, 2)
+    out: dict[Monomial, MPoly] = {}
+    for a, b in monomials:
+        if b:
+            parent = out[a, b - 1] * y
+        elif a:
+            parent = out[a - 1, 0] * x
+        else:
+            parent = p
+        out[a, b] = normal_form(parent, gb)
+    return out
 
 
 def _chart_point_count(g: MPoly, tau: int) -> int | None:
@@ -111,12 +112,14 @@ def _chart_point_count(g: MPoly, tau: int) -> int | None:
 
     A singular point is a node exactly when the Hessian of G does not
     vanish there, so every point is a node, and there are tau of them,
-    exactly when the Hessian is a unit in Q[x, y]/I.  By Stickelberger's
-    theorem that holds exactly when its tau x tau multiplication matrix has
-    full rank; its row at a standard monomial s = x_v * s' is the normal
-    form of x_v times the row at s'.  Otherwise the squarefree eliminants
-    in y and in x are added to I: by Seidenberg's lemma the sum is the
-    radical of I, whose standard monomials count the points.
+    exactly when the Hessian is a unit in A = Q[x, y]/I.  By
+    Stickelberger's theorem that holds exactly when its tau x tau
+    multiplication matrix has full rank.  Otherwise the points are counted
+    by Hermite's trace form (a, b) -> Tr(m_ab) on A, whose rank is the
+    number of distinct points of V(I) (Pedersen, Roy & Szpirglas 1993): its
+    entry at standard monomials s_i, s_j is the trace of NF(s_i s_j), and
+    the trace of m_s for a standard monomial s sums the coefficients of s'
+    in NF(s s') over the standard monomials s'.
     """
     gens = [dehomogenize(p) for p in partials(g)]
     gens = [p for p in gens if not p.is_zero()]
@@ -130,22 +133,18 @@ def _chart_point_count(g: MPoly, tau: int) -> int | None:
         return 0  # smooth curve: empty singular locus
     gx, gy = (dehomogenize(g).derivative(v) for v in (0, 1))
     gxy = gx.derivative(1)
-    x, y = MPoly.variable(0, 2), MPoly.variable(1, 2)
-    # standard monomials come in the order (0, 0), (0, 1), .., (1, 0), ..
-    products = {(0, 0): normal_form(gx.derivative(0) * gy.derivative(1) - gxy * gxy, gb)}
-    for a, b in standard[1:]:
-        parent = products[a, b - 1] * y if b else products[a - 1, 0] * x
-        products[a, b] = normal_form(parent, gb)
+    hessian = _multiples(gx.derivative(0) * gy.derivative(1) - gxy * gxy, standard, gb)
     index = {m: i for i, m in enumerate(standard)}
-    if linalg.rank(_row(p, index) for p in products.values()) == tau:
+    if linalg.rank(_row(p, index) for p in hessian.values()) == tau:
         return tau
-    sqfree = []
-    for var in (1, 0):
-        eliminant = _eliminant(gb, standard, var)
-        part = upoly.exact_div(eliminant, upoly.gcd_poly(eliminant, upoly.derivative(eliminant)))
-        sqfree.append(upoly.evaluate(part, MPoly.variable(var, 2)))
-    radical = buchberger(Ideal(gb.elements + tuple(sqfree)))
-    return len(_standard_monomials(leading_ideal(radical)))
+    doubled = sorted({(a + c, b + e) for a, b in standard for c, e in standard})
+    products = _multiples(MPoly.constant(Fraction(1), 2), doubled, gb)
+    traces = {
+        (a, b): sum(products[a + c, b + e].terms.get((c, e), 0) for c, e in standard)
+        for a, b in standard
+    }
+    value = {m: sum(c * traces[s] for s, c in p.terms.items()) for m, p in products.items()}
+    return linalg.rank([[value[a + c, b + e] for c, e in standard] for a, b in standard])
 
 
 def count_distinct_singular_points(f: MPoly, seed: int = 0) -> int:

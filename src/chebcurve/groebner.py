@@ -14,6 +14,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .linalg import primitive, strip_content
@@ -53,6 +54,11 @@ class Ideal:
 class GroebnerBasis:
     elements: tuple[MPoly, ...]
     order: MonomialOrder = GREVLEX
+
+    @cached_property
+    def _primitive(self) -> list[_GPoly]:
+        """The primitive integer form of each element, as ``normal_form`` reduces by."""
+        return [_make_gpoly(primitive(g.terms), self.order.key) for g in self.elements]
 
 
 class _GPoly:
@@ -252,15 +258,13 @@ def normal_form(p: MPoly, G: GroebnerBasis) -> MPoly:
     is in the ideal.
 
     The primitive multiple of p is reduced against the primitive basis
-    elements, and the remainder is scaled back.
+    elements, built once per basis, and the remainder is scaled back.
     """
     if p.is_zero():
         return p
-    keyf = G.order.key
-    basis = [_make_gpoly(primitive(g.terms), keyf) for g in G.elements]
     terms = primitive(p.terms)
     m = next(iter(terms))
-    rem, scale = _normal_form_int(terms, basis, keyf)
+    rem, scale = _normal_form_int(terms, G._primitive, G.order.key)
     scale *= terms[m] / Fraction(p.terms[m])  # terms is p times this factor
     return MPoly(p.nvars, {k: c / scale for k, c in rem.items()})
 

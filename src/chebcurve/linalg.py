@@ -5,9 +5,10 @@ rows are scaled to primitive integers, each update is a two-term
 cross-multiplication followed by content removal, and pivots are chosen by
 a Markowitz-style fill-in estimate (field-valued rows, with AlgNum entries,
 use exact division instead).  ``Echelon`` is incremental: pivot rows are
-normalized to lead 1 and keyed by their leading column, over Q,
-Q(2*cos(pi/d)) or F_p.  ``primitive`` and ``strip_content`` are the content
-helpers of the fraction-free loop and of the Groebner-basis reductions.
+normalized to lead 1 and keyed by their leading column, over F_p for the
+certificates below and over Q or Q(2*cos(pi/d)) for ``solve_unique``.
+``primitive`` and ``strip_content`` are the content helpers of the
+fraction-free loop and of the Groebner-basis reductions.
 
 Rank is certified before it is computed.  Reducing the entries modulo one
 prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
@@ -34,12 +35,8 @@ Bull. 1982).  Only a vector whose product with A the caller has proven
 zero over Q joins K, so the sandwich stays a proof.  Callers fall back to
 ``rank`` when it does not close.
 
-Solutions, not ranks, come from the echelon over the entries' field: the
-unique solve and the search for the first linear dependency among a
-stream of vectors, which gives minimal polynomials and the eliminants of
-the radical count in ``arrangement`` (nodal curves never need it: ``rank``
-proves their Hessian's multiplication matrix invertible mod p).  No
-floating point anywhere.
+The unique solve, which needs a solution rather than a rank, runs the
+echelon over the entries' field.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -509,21 +506,3 @@ def solve_unique(matrix: Iterable, rhs: Sequence, ncols: int) -> list:
         x[c] = value
     return [x[c] for c in range(ncols)]
 
-
-def first_dependency(vectors: Iterable, ncols: int) -> list | None:
-    """The first linear dependency among vectors with columns below ncols.
-
-    Vector k is tagged with a unit in column ncols + k and inserted into an
-    echelon; the first one whose own part reduces to zero gives coefficients
-    c_0..c_k with sum c_i * v_i = 0 and c_k = 1; None when the vectors are
-    independent.  Vectors are consumed one at a time.
-    """
-    echelon = Echelon()
-    for k, vec in enumerate(vectors):
-        row = _to_row(vec)
-        row[ncols + k] = Fraction(1)
-        residue = echelon.reduce(row)
-        if min(residue) >= ncols:
-            return [residue.get(ncols + i, Fraction(0)) for i in range(k + 1)]
-        echelon.insert(residue)
-    return None

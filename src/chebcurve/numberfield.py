@@ -3,7 +3,8 @@
 The generator g = 2*cos(pi/d) is an algebraic integer, so the cosines
 cos(k*pi/d) that appear as Chebyshev critical coordinates are elements
 with denominator at most 2.  Field elements are dense coefficient vectors
-reduced modulo the minimal polynomial of g; all arithmetic is exact.
+reduced modulo the minimal polynomial of g, which is read off the
+palindromic cyclotomic polynomial Phi_2d; all arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -196,8 +197,9 @@ class AlgNum:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -224,40 +226,26 @@ def alg_inv(a: AlgNum) -> AlgNum:
     return a.inverse()
 
 
-def _t_inverse_mod(phi: Coeffs) -> Coeffs:
-    # phi(t) = c0 + c1 t + ... + t^n with c0 != 0 gives
-    # t^-1 = -(c1 + c2 t + ... + t^(n-1)) / c0.
-    c0 = phi[0]
-    rest = upoly.upoly([c / c0 for c in phi[1:]])
-    return upoly.neg(rest)
-
-
 @lru_cache(maxsize=None)
 def real_cyclotomic_field(d: int) -> FieldSpec:
     """Field spec for Q(2*cos(pi/d)), d >= 2.
 
-    The minimal polynomial is found by linear algebra: powers of the coset
-    of t + 1/t in Q[t]/(Phi_2d) are stacked until the first dependency.
+    Phi_2d is palindromic of degree 2h, so t^-h * Phi_2d(t) = c_h +
+    sum_k c_(h+k) * (t^k + t^-k) for its coefficients c, and
+    t^k + t^-k = V_k(t + 1/t) with V_0 = 2, V_1 = s and
+    V_k = s * V_(k-1) - V_(k-2).  The minimal polynomial of 2*cos(pi/d) is
+    therefore c_h + sum_k c_(h+k) * V_k(s), monic of degree h.
     """
-    from .linalg import first_dependency  # linalg imports this module
-
     if d < 2:
         raise ValueError("require d >= 2")
     phi = cyclotomic(2 * d)
-    n = upoly.degree(phi)
-    gamma = upoly.poly_mod(upoly.add(upoly.T, _t_inverse_mod(phi)), phi)
+    h = upoly.degree(phi) // 2
+    minpoly = upoly.upoly([phi[h]])
+    v_prev, v = upoly.upoly([2]), upoly.T
+    for k in range(1, h + 1):
+        minpoly = upoly.add(minpoly, upoly.scale(v, phi[h + k]))
+        v_prev, v = v, upoly.sub(upoly.mul(upoly.T, v), v_prev)
     expected = _totient(2 * d) // 2
-
-    def powers():
-        power = upoly.ONE
-        for _ in range(n + 1):
-            yield power
-            power = upoly.poly_mod(upoly.mul(power, gamma), phi)
-
-    combo = first_dependency(powers(), n)
-    if combo is None:
-        raise SelfCheckError("no dependency found among generator powers")
-    minpoly = upoly.upoly(combo)
     if upoly.degree(minpoly) != expected:
         raise SelfCheckError("minimal polynomial has unexpected degree")
     return FieldSpec(d=d, minpoly=minpoly, degree=expected)

@@ -270,8 +270,9 @@ class MPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __str__(self):

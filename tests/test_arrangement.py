@@ -2,9 +2,11 @@
 
 import dataclasses
 import random
+from fractions import Fraction
+
 import pytest
 
-from chebcurve import arrangement
+from chebcurve import arrangement, upoly
 from chebcurve.arrangement import (
     count_distinct_singular_points,
     is_nodal,
@@ -192,7 +194,7 @@ def _seeded_products(seed, degrees):
 class TestHessianCertificate:
     """A singular point is a node exactly when the Hessian of the chart
     polynomial is nonzero there, so a unit Hessian proves tau nodes; any
-    other input is counted through the Seidenberg radical."""
+    other input is counted by the rank of Hermite's trace form."""
 
     CORPUS = (
         [curve_polynomial(d) for d in range(4, 9)]
@@ -205,23 +207,91 @@ class TestHessianCertificate:
 
     @pytest.mark.parametrize("f", CORPUS)
     def test_radical_path_agrees(self, f, monkeypatch):
+        # the Hessian's rank is the count's first rank: failing it alone
+        # forces the trace form on the same chart
         expected = count_distinct_singular_points(f)
-        monkeypatch.setattr(arrangement.linalg, "rank", lambda rows: 0)
+        calls = []
+        rank = arrangement.linalg.rank
+
+        def hessian_fails(rows):
+            calls.append(1)
+            return 0 if len(calls) == 1 else rank(rows)
+
+        monkeypatch.setattr(arrangement.linalg, "rank", hessian_fails)
         assert count_distinct_singular_points(f) == expected
+        assert len(calls) == 2
 
     def test_t10_without_gcd(self, monkeypatch):
         calls = []
-        gcd_poly = arrangement.upoly.gcd_poly
+        gcd_poly = upoly.gcd_poly
 
         def counted(a, b):
             calls.append((a, b))
             return gcd_poly(a, b)
 
-        monkeypatch.setattr(arrangement.upoly, "gcd_poly", counted)
+        monkeypatch.setattr(upoly, "gcd_poly", counted)
         rep = rationality_test(curve_polynomial(10))
         assert rep.verdict == "all_rational"
         assert rep.distinct_singular_points == 40
         assert calls == []
+
+    def test_t8_times_line_is_not_nodal(self):
+        # the line x = 0 passes through nodes of T8, making them triple points
+        rep = rationality_test(curve_polynomial(8) * parse("x"))
+        assert rep.verdict == "not_nodal"
+        assert rep.tau == 36
+        assert rep.distinct_singular_points == 24
+
+
+def _line_through(p, q):
+    """The coefficients of the line through two projective points."""
+    return (
+        p[1] * q[2] - p[2] * q[1],
+        p[2] * q[0] - p[0] * q[2],
+        p[0] * q[1] - p[1] * q[0],
+    )
+
+
+def _projective_point(v):
+    """A projective point as a tuple scaled to lead with 1."""
+    lead = next(c for c in v if c)
+    return tuple(Fraction(c, lead) for c in v)
+
+
+def _concurrent_lines(seed):
+    """4-6 distinct integer lines, two to four of them forced through one point."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    centre = [rng.randint(-3, 3) for _ in range(3)]
+    centre[2] = rng.randint(1, 3)
+    through = rng.randint(2, 4)
+    lines = []
+    while len(lines) < n:
+        if len(lines) < through:
+            line = _line_through(centre, [rng.randint(-4, 4) for _ in range(3)])
+        else:
+            line = tuple(rng.randint(-4, 4) for _ in range(3))
+        if any(line) and _projective_point(line) not in {_projective_point(l) for l in lines}:
+            lines.append(line)
+    return lines
+
+
+class TestLineArrangementOracle:
+    """The singular points of a reduced line arrangement are the distinct
+    pairwise intersections, each the cross product of two lines."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_count_matches_pairwise_intersections(self, seed):
+        lines = _concurrent_lines(seed)
+        points = {
+            _projective_point(_line_through(a, b))
+            for i, a in enumerate(lines)
+            for b in lines[i + 1 :]
+        }
+        f = MPoly.constant(Fraction(1), 3)
+        for a, b, c in lines:
+            f = f * MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+        assert count_distinct_singular_points(f) == len(points)
 
 
 class TestIsNodal:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chebcurve import upoly
 from chebcurve.numberfield import (
+    AlgNum,
     alg_inv,
     cos_multiple,
     critical_point,
@@ -73,7 +74,7 @@ class TestMinimalPolynomial:
     @pytest.mark.parametrize("d", range(2, 13))
     def test_generator_satisfies_chebyshev_identity(self, d):
         # V_{2d}(g) - 2 == 0 where V_k(2 cos a) = 2 cos(k a): an oracle for the
-        # minimal polynomial that bypasses the linear-algebra construction.
+        # minimal polynomial that bypasses its construction from Phi_2d.
         v_prev, v = upoly.upoly([2]), upoly.T
         for _ in range(2 * d - 1):
             v_prev, v = v, upoly.sub(upoly.mul(upoly.T, v), v_prev)
@@ -187,6 +188,24 @@ class TestFieldAxioms:
     @given(field_elements())
     def test_power_consistency(self, a):
         assert a**3 == a * a * a
+
+    def test_powers_square_only_while_bits_remain(self, monkeypatch):
+        a = real_cyclotomic_field(7).element([1, -2, 3])
+        products = [a.field.one()]
+        for _ in range(6):
+            products.append(products[-1] * a)
+        calls = []
+        mul = AlgNum.__mul__
+
+        def counted(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        monkeypatch.setattr(AlgNum, "__mul__", counted)
+        assert a**2 == products[2]
+        assert len(calls) == 2
+        for e in range(7):
+            assert a**e == products[e]
 
 
 class TestUPoly:

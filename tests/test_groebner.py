@@ -108,6 +108,24 @@ class TestNormalForm:
         r = normal_form(p, gb)
         assert normal_form(p - r, gb).is_zero()
 
+    def test_primitive_basis_built_once(self, monkeypatch):
+        from chebcurve import groebner
+
+        gb = gb_of("x^2 - y*z", "x*y - z^2")
+        polys = [parse("x^3 + y^3 - 2*x*z^2 + z^3"), parse("x^2*y"), parse("1/2*x^4 - y*z^3")]
+        expected = [normal_form(p, GroebnerBasis(gb.elements)) for p in polys]
+        calls = []
+        make = groebner._make_gpoly
+
+        def counted(terms, keyf):
+            calls.append(1)
+            return make(terms, keyf)
+
+        monkeypatch.setattr(groebner, "_make_gpoly", counted)
+        for _ in range(3):
+            assert [normal_form(p, gb) for p in polys] == expected
+        assert len(calls) == len(gb.elements)
+
 
 _coeff = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 

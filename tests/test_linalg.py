@@ -16,7 +16,6 @@ from chebcurve.linalg import (
     _reaches_rank_mod_p,
     _reduce_mod_p,
     _to_rows,
-    first_dependency,
     kernel_certificate,
     primitive,
     rank,
@@ -141,48 +140,6 @@ class TestEchelon:
         assert ech.reduce({0: Fraction(1), 1: Fraction(3)}) == {1: 1}
         assert ech.insert({0: Fraction(3), 1: Fraction(6)}) == {}
         assert list(ech.pivots) == [0]
-
-
-class TestFirstDependency:
-    def test_golden_ratio_minimal_polynomial(self):
-        # g = 2*cos(pi/5) satisfies g^2 - g - 1 = 0 and nothing of degree 1
-        g = real_cyclotomic_field(5).gen()
-        powers = [(g**k).coeffs for k in range(4)]
-        assert first_dependency(powers, 2) == [-1, -1, 1]
-
-    def test_stops_at_first_dependency(self):
-        def vectors():
-            yield [1, 0]
-            yield [2, 0]
-            raise AssertionError("read past the first dependency")
-
-        assert first_dependency(vectors(), 2) == [-2, 1]
-
-    def test_field_entries(self):
-        field = real_cyclotomic_field(4)
-        g = field.gen()  # g^2 = 2, so [2, g] = g * [g, 1]
-        assert first_dependency([[g, field.one()], [2, g]], 2) == [-g, 1]
-
-    def test_independent_vectors(self):
-        assert first_dependency([[1, 0, 0], [1, 1, 0], [0, 0, 5]], 3) is None
-        assert first_dependency([], 3) is None
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), min_size=3, max_size=3),
-            max_size=5,
-        )
-    )
-    def test_dependency_property(self, vectors):
-        combo = first_dependency(vectors, 3)
-        if combo is None:
-            assert rank(vectors) == len(vectors)
-            return
-        k = len(combo) - 1
-        assert combo[k] == 1
-        assert all(sum(c * v[j] for c, v in zip(combo, vectors)) == 0 for j in range(3))
-        assert rank(vectors[:k]) == k
 
 
 def _entries(domain):

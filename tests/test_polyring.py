@@ -249,6 +249,26 @@ class TestEvaluatePowerTable:
             parse("x + y").evaluate((1, 2))
 
 
+class TestPower:
+    def test_powers_square_only_while_bits_remain(self, monkeypatch):
+        p = parse("x^2 - 3*x*y + 2*z")
+        products = [MPoly.constant(Fraction(1), 3)]
+        for _ in range(6):
+            products.append(products[-1] * p)
+        calls = []
+        mul = MPoly.__mul__
+
+        def counted(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(MPoly, "__mul__", counted)
+        assert p**2 == products[2]
+        assert len(calls) == 2
+        for e in range(7):
+            assert p**e == products[e]
+
+
 class TestExactDivision:
     def test_inexact_raises(self):
         with pytest.raises(InexactDivisionError):
