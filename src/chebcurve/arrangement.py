@@ -4,22 +4,23 @@ The test compares the number of nodes (the Tjurina number, read from the
 Milnor algebra at the general stabilization bound) with the graded
 dimension at 2d-3: equality certifies that every irreducible component is
 rational, and the difference reports the total geometric genus otherwise.
-Nodality itself is certified by counting distinct singular points after a
-random coordinate change that leaves none at infinity, which holds exactly
-when the chart ideal has tau standard monomials.  A singular point is a
-node exactly when the Hessian does not vanish there, so all tau points are
-nodes exactly when the Hessian is a unit modulo the chart ideal, that is
-when its multiplication matrix has full rank, which one elimination mod p
-proves.  Otherwise the rank of Hermite's trace form on the chart's
-quotient algebra counts the points.  Reducedness needs no gcd: in
-characteristic 0 a homogeneous f is reduced exactly when its singular
-locus is finite, which the Hilbert numerator of the Milnor algebra already
-shows.
+Nodality itself is certified by counting distinct singular points in a
+chart z = 1 that holds all of them, which holds exactly when the chart
+ideal has tau standard monomials.  The identity chart is tried first, then
+the shears z -> z + a*x + a^2*y for a = 1, 2, ...; each singular point
+rules out at most two values of a, so one of a = 0..2*tau holds them all.
+A singular point is a node exactly when the Hessian does not vanish there,
+so all tau points are nodes exactly when the Hessian is a unit modulo the
+chart ideal, that is when its multiplication matrix has full rank, which
+one elimination mod p proves.  Otherwise the rank of Hermite's trace form
+on the chart's quotient algebra counts the points.  Reducedness needs no
+gcd: in characteristic 0 a homogeneous f is reduced exactly when its
+singular locus is finite, which the Hilbert numerator of the Milnor
+algebra already shows.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +28,11 @@ from . import linalg
 from .groebner import GroebnerBasis, Ideal, buchberger, leading_ideal, normal_form
 from .hilbert import milnor_profile
 from .numberfield import SelfCheckError
-from .polyring import Monomial, MPoly, dehomogenize, partials
+from .polyring import Monomial, MPoly, dehomogenize, partials, variables
 
 
 class SingularLocusError(RuntimeError):
-    """Raised when random coordinate changes fail to expose the singular points."""
+    """Raised when the singular locus is not finite: the curve is not reduced."""
 
 
 def is_reduced(f: MPoly) -> bool:
@@ -41,22 +42,6 @@ def is_reduced(f: MPoly) -> bool:
     (1-t)^2 divides the Hilbert numerator of S/J_f (characteristic 0).
     """
     return milnor_profile(f).q_polynomial is not None
-
-
-def _random_change(rng: random.Random, f: MPoly) -> MPoly | None:
-    entries = [[rng.randint(-10, 10) for _ in range(3)] for _ in range(3)]
-    det = (
-        entries[0][0] * (entries[1][1] * entries[2][2] - entries[1][2] * entries[2][1])
-        - entries[0][1] * (entries[1][0] * entries[2][2] - entries[1][2] * entries[2][0])
-        + entries[0][2] * (entries[1][0] * entries[2][1] - entries[1][1] * entries[2][0])
-    )
-    if det == 0:
-        return None
-    images = [
-        MPoly(3, {(1, 0, 0): row[0], (0, 1, 0): row[1], (0, 0, 1): row[2]})
-        for row in entries
-    ]
-    return f.evaluate(images)
 
 
 def _standard_monomials(lead: tuple[Monomial, ...]) -> list[Monomial] | None:
@@ -147,38 +132,39 @@ def _chart_point_count(g: MPoly, tau: int) -> int | None:
     return linalg.rank([[value[a + c, b + e] for c, e in standard] for a, b in standard])
 
 
-def count_distinct_singular_points(f: MPoly, seed: int = 0) -> int:
+def count_distinct_singular_points(f: MPoly) -> int:
     """Number of distinct singular points of the projective curve f = 0.
 
-    Applies random invertible coordinate changes, at most five, until the
-    chart z = 1 holds the whole Tjurina number tau of f, that is, until no
-    singular point lies on the line at infinity.  That first count is a
-    proof, so it is returned as is.  A non-reduced f has no finite tau.
+    Counts in the chart z = 1 of f itself, then of the shears
+    f(x, y, z + a*x + a^2*y) for a = 1, 2, ..., and returns the first count
+    from a chart that holds the whole Tjurina number tau of f, that is, with
+    no singular point on the line at infinity; that count is a proof.  A
+    singular point (x0:y0:z0) lies on the sheared line at infinity exactly
+    when y0*a^2 + x0*a - z0 = 0, which has no root when x0 = y0 = 0 and at
+    most two otherwise.  There are at most tau points, so some a in
+    0..2*tau is accepted, and finding none is a failed self-check.  A
+    non-reduced f has no finite tau.
     """
     if f.nvars != 3:
         raise ValueError("expected a polynomial in x, y, z")
     tau = milnor_profile(f).tau
     if tau is None:
         raise SingularLocusError("the singular locus is not finite: the curve is not reduced")
-    rng = random.Random(seed)
-    for _ in range(5):
-        g = _random_change(rng, f)
-        if g is None:
-            continue
+    x, y, z = variables(3)
+    for a in range(2 * tau + 1):
+        g = f.evaluate([x, y, z + a * x + a * a * y]) if a else f
         count = _chart_point_count(g, tau)
         if count is not None:
             return count
-    raise SingularLocusError(
-        "could not certify the singular point count after 5 coordinate changes"
-    )
+    raise SelfCheckError("every shear a = 0..2*tau leaves a singular point at infinity")
 
 
-def is_nodal(f: MPoly, seed: int = 0) -> bool:
+def is_nodal(f: MPoly) -> bool:
     """Whether every singularity is a node: the Tjurina number equals the
     number of distinct singular points exactly when all local types are A1.
     A non-reduced curve has no finite Tjurina number and is not nodal."""
     tau = milnor_profile(f).tau
-    return tau is not None and tau == count_distinct_singular_points(f, seed=seed)
+    return tau is not None and tau == count_distinct_singular_points(f)
 
 
 VERDICT_ALL_RATIONAL = "all_rational"
@@ -197,7 +183,7 @@ class CurveReport:
     genus_sum: int | None = None
 
 
-def rationality_test(f: MPoly, seed: int = 0) -> CurveReport:
+def rationality_test(f: MPoly) -> CurveReport:
     """Classify a plane curve: rational arrangement, irrational component,
     not nodal, or not reduced.
 
@@ -215,7 +201,7 @@ def rationality_test(f: MPoly, seed: int = 0) -> CurveReport:
     prof = milnor_profile(f)
     if not is_reduced(f):
         return CurveReport(degree=d, verdict=VERDICT_NOT_REDUCED)
-    points = count_distinct_singular_points(f, seed=seed)
+    points = count_distinct_singular_points(f)
     if prof.tau != points:
         return CurveReport(
             degree=d,

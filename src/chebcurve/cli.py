@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import upoly
-from .arrangement import SingularLocusError, rationality_test
+from .arrangement import rationality_test
 from .chebyshev import build, curve_polynomial, verify_nodes
 from .hilbert import (
     chebyshev_milnor_numerator,
@@ -244,11 +244,7 @@ def cmd_rational_test(args) -> int:
     f = _read_poly(args.file)
     if _refused(f, 3):
         return EXIT_PRECONDITION
-    try:
-        rep = rationality_test(f, seed=args.seed)
-    except SingularLocusError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PRECONDITION
+    rep = rationality_test(f)
     results = {
         "degree": rep.degree,
         "verdict": rep.verdict,

@@ -73,6 +73,15 @@ class TestIsReducedOracle:
         assert seen[True] and seen[False]
 
 
+# invertible integer coordinate changes, by the rows of their matrices
+# (determinants 1, 2 and 9)
+CHANGES = (
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
+    ((2, -1, 0), (1, 1, -1), (0, 3, 1)),
+)
+
+
 class TestSingularPointCount:
     def test_quartic_grid(self):
         assert count_distinct_singular_points(curve_polynomial(4)) == 4
@@ -89,10 +98,6 @@ class TestSingularPointCount:
 
     def test_smooth_curve_has_none(self):
         assert count_distinct_singular_points(parse("x^4 + y^4 + z^4")) == 0
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_seed_invariance(self, seed):
-        assert count_distinct_singular_points(curve_polynomial(5), seed=seed) == 8
 
     def test_ordinary_triple_point_counts_once(self):
         # the Hessian vanishes at a triple point, so the count comes from
@@ -114,10 +119,13 @@ class TestSingularPointCount:
         ],
     )
     def test_independent_trials_agree(self, f):
-        # each seed draws its own coordinate changes; one certified trial
-        # per seed must give the same count
-        counts = {count_distinct_singular_points(f, seed=seed) for seed in (0, 1, 2)}
-        assert len(counts) == 1
+        # the count is projectively invariant, so f and its images under
+        # fixed invertible coordinate changes, each counted in its own
+        # chart, must give the same count
+        count = count_distinct_singular_points(f)
+        for rows in CHANGES:
+            images = [MPoly(3, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c}) for a, b, c in rows]
+            assert count_distinct_singular_points(f.evaluate(images)) == count
 
     def test_one_groebner_basis_on_t5(self, monkeypatch):
         # tau rules out points at infinity, so only the chart basis is computed
@@ -143,31 +151,55 @@ class TestSingularPointCount:
         with pytest.raises(SelfCheckError):
             count_distinct_singular_points(curve_polynomial(4))
 
-    def test_points_at_infinity_reject_the_trial(self, monkeypatch):
-        # the first trial keeps x*y*z as it is: of its singular points
-        # (1:0:0), (0:1:0), (0:0:1), two lie on z = 0
-        change = arrangement._random_change
+    def _recorded_charts(self, monkeypatch):
         chart = arrangement._chart_point_count
         counts = []
-
-        def identity_first(rng, f):
-            return f if not counts else change(rng, f)
 
         def recorded(g, tau):
             counts.append(chart(g, tau))
             return counts[-1]
 
-        monkeypatch.setattr(arrangement, "_random_change", identity_first)
         monkeypatch.setattr(arrangement, "_chart_point_count", recorded)
+        return counts
+
+    def test_points_at_infinity_reject_the_trial(self, monkeypatch):
+        # of the singular points (1:0:0), (0:1:0), (0:0:1) of x*y*z, two lie
+        # on z = 0, and none on the line at infinity of the shear a = 1
+        counts = self._recorded_charts(monkeypatch)
         assert count_distinct_singular_points(parse("x*y*z")) == 3
-        assert counts[0] is None and counts[-1] == 3
+        assert counts == [None, 3]
+
+    def test_second_shear_when_the_first_fails(self, monkeypatch):
+        # (0:1:0), (1:0:0) and (1:-1:0) lie on z = 0, and (0:1:1) lies on
+        # y + x - z = 0, the line at infinity of the shear a = 1
+        counts = self._recorded_charts(monkeypatch)
+        assert count_distinct_singular_points(parse("x*y*z") * parse("x + y - z")) == 6
+        assert counts == [None, None, 6]
+
+    def test_t12_times_line_in_the_identity_chart(self, monkeypatch):
+        counts = self._recorded_charts(monkeypatch)
+        f = curve_polynomial(12) * parse("x")
+        assert arrangement.milnor_profile(f).tau == 78
+        assert count_distinct_singular_points(f) == 60
+        assert counts == [60]
+
+    def test_no_accepted_shear_fails_self_check(self, monkeypatch):
+        # some shear a <= 2*tau holds every point, so rejecting all of them
+        # (tau = 3 for x*y*z) is an internal fault
+        calls = []
+        monkeypatch.setattr(arrangement, "_chart_point_count", lambda g, tau: calls.append(g))
+        with pytest.raises(SelfCheckError):
+            count_distinct_singular_points(parse("x*y*z"))
+        assert len(calls) == 7
 
     def test_non_reduced_raises_before_any_trial(self, monkeypatch):
         from chebcurve.arrangement import SingularLocusError
 
-        monkeypatch.setattr(arrangement, "_random_change", None)
+        calls = []
+        monkeypatch.setattr(arrangement, "_chart_point_count", lambda g, tau: calls.append(g))
         with pytest.raises(SingularLocusError):
             count_distinct_singular_points(parse("x^2*y"))
+        assert calls == []
 
     def test_positive_dimensional_locus_raises(self):
         from chebcurve.arrangement import SingularLocusError
