@@ -18,10 +18,7 @@ from .numberfield import (
     real_subfield_minpoly,
 )
 from .polyring import (
-    GREVLEX,
-    LEX,
     InexactDivisionError,
-    MonomialOrder,
     MPoly,
     ParseError,
     dehomogenize,
@@ -32,7 +29,7 @@ from .polyring import (
     partials,
     to_string,
 )
-from .groebner import GroebnerBasis, Ideal, buchberger, leading_ideal, normal_form
+from .groebner import GroebnerBasis, buchberger, leading_ideal, normal_form
 from .hilbert import (
     HilbertData,
     MilnorProfile,
@@ -84,10 +81,7 @@ __all__ = [
     "cyclotomic",
     "real_cyclotomic_field",
     "real_subfield_minpoly",
-    "GREVLEX",
-    "LEX",
     "InexactDivisionError",
-    "MonomialOrder",
     "MPoly",
     "ParseError",
     "dehomogenize",
@@ -98,7 +92,6 @@ __all__ = [
     "partials",
     "to_string",
     "GroebnerBasis",
-    "Ideal",
     "buchberger",
     "leading_ideal",
     "normal_form",

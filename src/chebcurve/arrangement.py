@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .groebner import GroebnerBasis, Ideal, buchberger, leading_ideal, normal_form
+from .groebner import GroebnerBasis, buchberger, leading_ideal, normal_form
 from .hilbert import milnor_profile
 from .numberfield import SelfCheckError
 from .polyring import Monomial, MPoly, dehomogenize, partials, variables
@@ -106,9 +106,7 @@ def _chart_point_count(g: MPoly, tau: int) -> int | None:
     the trace of m_s for a standard monomial s sums the coefficients of s'
     in NF(s s') over the standard monomials s'.
     """
-    gens = [dehomogenize(p) for p in partials(g)]
-    gens = [p for p in gens if not p.is_zero()]
-    gb = buchberger(Ideal(tuple(gens)))
+    gb = buchberger(dehomogenize(p) for p in partials(g))
     standard = _standard_monomials(leading_ideal(gb))
     if standard is None or len(standard) > tau:
         raise SelfCheckError("the chart's Tjurina count exceeds the curve's")

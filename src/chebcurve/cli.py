@@ -304,13 +304,12 @@ def _verify_items(d: int, strategy: str, timings: dict) -> list[dict]:
     )
 
     if d <= GROEBNER_MAX_D:
-        from .groebner import Ideal, buchberger, leading_ideal
+        from .groebner import buchberger, leading_ideal
         from .hilbert import hilbert_numerator
         from .polyring import partials as poly_partials
 
         f = curve_polynomial(d)
-        gens = tuple(p for p in poly_partials(f) if not p.is_zero())
-        gb = buchberger(Ideal(gens), strategy=strategy)
+        gb = buchberger(poly_partials(f), strategy=strategy)
         numerator = hilbert_numerator(leading_ideal(gb))
         closed = chebyshev_milnor_numerator(d)
         item(

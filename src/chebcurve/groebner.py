@@ -19,10 +19,9 @@ from math import gcd
 
 from .linalg import primitive, strip_content
 from .polyring import (
-    GREVLEX,
     Monomial,
-    MonomialOrder,
     MPoly,
+    grevlex_key,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -31,34 +30,13 @@ from .polyring import (
 
 
 @dataclass(frozen=True)
-class Ideal:
-    generators: tuple[MPoly, ...]
-    order: MonomialOrder = GREVLEX
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        if not gens:
-            raise ValueError("ideal needs at least one generator")
-        if any(g.is_zero() for g in gens):
-            raise ValueError("ideal generators must be nonzero")
-        if len({g.nvars for g in gens}) != 1:
-            raise ValueError("generators must share a variable count")
-        object.__setattr__(self, "generators", gens)
-
-    @property
-    def nvars(self) -> int:
-        return self.generators[0].nvars
-
-
-@dataclass(frozen=True)
 class GroebnerBasis:
     elements: tuple[MPoly, ...]
-    order: MonomialOrder = GREVLEX
 
     @cached_property
     def _primitive(self) -> list[_GPoly]:
         """The primitive integer form of each element, as ``normal_form`` reduces by."""
-        return [_make_gpoly(primitive(g.terms), self.order.key) for g in self.elements]
+        return [_make_gpoly(primitive(g.terms)) for g in self.elements]
 
 
 class _GPoly:
@@ -70,18 +48,18 @@ class _GPoly:
         self.lc = lc
 
 
-def _make_gpoly(terms: dict[Monomial, int], keyf) -> _GPoly | None:
+def _make_gpoly(terms: dict[Monomial, int]) -> _GPoly | None:
     if not terms:
         return None
     strip_content(terms)
-    lm = max(terms, key=keyf)
+    lm = max(terms, key=grevlex_key)
     if terms[lm] < 0:
         terms = {m: -c for m, c in terms.items()}
     return _GPoly(terms, lm, terms[lm])
 
 
 def _normal_form_int(
-    terms: dict[Monomial, int], basis: list[_GPoly], keyf
+    terms: dict[Monomial, int], basis: list[_GPoly]
 ) -> tuple[dict[Monomial, int], Fraction]:
     """Full normal form of an integer term-dict against the basis.
 
@@ -93,7 +71,7 @@ def _normal_form_int(
     scale = Fraction(1)
     steps = 0
     while work:
-        m = max(work, key=keyf)
+        m = max(work, key=grevlex_key)
         c = work.pop(m)
         red = None
         for g in basis:
@@ -151,20 +129,26 @@ def _s_poly(gi: _GPoly, gj: _GPoly) -> dict[Monomial, int]:
     return out
 
 
-def buchberger(ideal: Ideal, strategy: str = "normal") -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal.
+def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of the ideal the forms generate.
 
-    strategy selects the S-pair order: "normal" processes pairs by
-    increasing lcm degree, "fifo" in creation order.  Both must and do
-    return the same basis.
+    Zero forms are dropped; ValueError when none is left or when the
+    variable counts differ.  strategy selects the S-pair order: "normal"
+    processes pairs by increasing lcm in grevlex, so degree first, "fifo"
+    in creation order.  Both must and do return the same basis.
     """
     if strategy not in ("normal", "fifo"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    keyf = ideal.order.key
+    generators = tuple(generators)
+    if len({p.nvars for p in generators}) > 1:
+        raise ValueError("generators must share a variable count")
+    gens = [p for p in generators if not p.is_zero()]
+    if not gens:
+        raise ValueError("the ideal needs a nonzero generator")
     basis: list[_GPoly] = []
-    for p in sorted(ideal.generators, key=lambda q: keyf(q.leading_monomial(ideal.order))):
-        r, _ = _normal_form_int(primitive(p.terms), basis, keyf)
-        g = _make_gpoly(r, keyf)
+    for p in sorted(gens, key=lambda q: grevlex_key(q.leading_monomial())):
+        r, _ = _normal_form_int(primitive(p.terms), basis)
+        g = _make_gpoly(r)
         if g is not None:
             basis.append(g)
 
@@ -176,7 +160,7 @@ def buchberger(ideal: Ideal, strategy: str = "normal") -> GroebnerBasis:
         lcm = mono_lcm(basis[i].lm, basis[j].lm)
         pending.add((i, j))
         if strategy == "normal":
-            heapq.heappush(heap, (sum(lcm), keyf(lcm), i, j))
+            heapq.heappush(heap, (grevlex_key(lcm), i, j))
         else:
             queue.append((i, j))
 
@@ -189,7 +173,7 @@ def buchberger(ideal: Ideal, strategy: str = "normal") -> GroebnerBasis:
             if strategy == "normal":
                 if not heap:
                     return None
-                _, _, i, j = heapq.heappop(heap)
+                _, i, j = heapq.heappop(heap)
             else:
                 if not queue:
                     return None
@@ -222,8 +206,8 @@ def buchberger(ideal: Ideal, strategy: str = "normal") -> GroebnerBasis:
                     break
         if skip:
             continue
-        r, _ = _normal_form_int(_s_poly(gi, gj), basis, keyf)
-        g = _make_gpoly(r, keyf)
+        r, _ = _normal_form_int(_s_poly(gi, gj), basis)
+        g = _make_gpoly(r)
         if g is None:
             continue
         basis.append(g)
@@ -231,25 +215,24 @@ def buchberger(ideal: Ideal, strategy: str = "normal") -> GroebnerBasis:
         for k in range(new):
             push_pair(k, new)
 
-    return GroebnerBasis(elements=_reduce_basis(basis, ideal.order, ideal.nvars), order=ideal.order)
+    return GroebnerBasis(_reduce_basis(basis, gens[0].nvars))
 
 
-def _reduce_basis(basis: list[_GPoly], order: MonomialOrder, nvars: int) -> tuple[MPoly, ...]:
-    keyf = order.key
+def _reduce_basis(basis: list[_GPoly], nvars: int) -> tuple[MPoly, ...]:
     # minimal subset: no leading monomial divides another's
     chosen: list[_GPoly] = []
-    for g in sorted(basis, key=lambda g: keyf(g.lm)):
+    for g in sorted(basis, key=lambda g: grevlex_key(g.lm)):
         if not any(mono_divides(h.lm, g.lm) for h in chosen):
             chosen.append(g)
     # tail-reduce every element against the others, then make monic
     reduced: list[MPoly] = []
     for idx, g in enumerate(chosen):
         others = chosen[:idx] + chosen[idx + 1 :]
-        terms, _ = _normal_form_int(dict(g.terms), others, keyf)
-        lm = max(terms, key=keyf)
+        terms, _ = _normal_form_int(dict(g.terms), others)
+        lm = max(terms, key=grevlex_key)
         lc = terms[lm]
         reduced.append(MPoly(nvars, {m: Fraction(c, lc) for m, c in terms.items()}))
-    reduced.sort(key=lambda p: keyf(p.leading_monomial(order)))
+    reduced.sort(key=lambda p: grevlex_key(p.leading_monomial()))
     return tuple(reduced)
 
 
@@ -264,21 +247,21 @@ def normal_form(p: MPoly, G: GroebnerBasis) -> MPoly:
         return p
     terms = primitive(p.terms)
     m = next(iter(terms))
-    rem, scale = _normal_form_int(terms, G._primitive, G.order.key)
+    rem, scale = _normal_form_int(terms, G._primitive)
     scale *= terms[m] / Fraction(p.terms[m])  # terms is p times this factor
     return MPoly(p.nvars, {k: c / scale for k, c in rem.items()})
 
 
 def leading_ideal(G: GroebnerBasis) -> tuple[Monomial, ...]:
     """Minimal monomial generators of the initial ideal of a reduced basis."""
-    lms = sorted((g.leading_monomial(G.order) for g in G.elements), key=G.order.key)
+    lms = sorted((g.leading_monomial() for g in G.elements), key=grevlex_key)
     return tuple(lms)
 
 
-def s_polynomial(f: MPoly, g: MPoly, order: MonomialOrder = GREVLEX) -> MPoly:
+def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
     """S-polynomial over Q, used by tests to confirm the Buchberger criterion."""
-    lf = f.leading_monomial(order)
-    lg = g.leading_monomial(order)
+    lf = f.leading_monomial()
+    lg = g.leading_monomial()
     lcm = mono_lcm(lf, lg)
     mf = MPoly(f.nvars, {mono_div(lcm, lf): 1 / Fraction(f.terms[lf])})
     mg = MPoly(g.nvars, {mono_div(lcm, lg): 1 / Fraction(g.terms[lg])})

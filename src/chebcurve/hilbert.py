@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import upoly
-from .groebner import Ideal, buchberger, leading_ideal
+from .groebner import buchberger, leading_ideal
 from .polyring import Monomial, MPoly, mono_divides, partials
 
 IntPoly = tuple[int, ...]
@@ -151,10 +151,7 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
         kmax = 3 * d
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    gens = [p for p in partials(f) if not p.is_zero()]
-    if not gens:
-        raise ValueError("all partial derivatives vanish")
-    gb = buchberger(Ideal(tuple(gens)))
+    gb = buchberger(partials(f))
     numerator = hilbert_numerator(leading_ideal(gb))
     tau_degree = 3 * (d - 2) + 1
     dims_full = series_dims(numerator, max(kmax, tau_degree))

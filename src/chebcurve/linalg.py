@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .numberfield import AlgNum, real_cyclotomic_field
+from .numberfield import AlgNum, SelfCheckError, real_cyclotomic_field
 
 Row = dict[int, object]
 
@@ -217,14 +217,16 @@ def _modulus(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _generator_image(d: int) -> tuple[int, int] | None:
-    """(p, image of 2*cos(pi/d) in F_p) for p = _modulus(2d), or None.
+def _generator_image(d: int) -> tuple[int, int]:
+    """(p, image of 2*cos(pi/d) in F_p) for p = _modulus(2d).
 
     The image is zeta + 1/zeta for a primitive 2d-th root of unity zeta,
-    which exists because 2d divides p - 1; it is accepted only when the
-    minimal polynomial of 2*cos(pi/d) vanishes there, which makes the
-    reduction Q(2*cos(pi/d)) -> F_p a ring homomorphism on the elements
-    whose coefficients have denominators prime to p.
+    which exists because 2d divides p - 1.  The minimal polynomial psi of
+    2*cos(pi/d) has integer coefficients and psi(zeta + 1/zeta) =
+    zeta^-h * Phi_2d(zeta) = 0 in F_p, which makes the reduction
+    Q(2*cos(pi/d)) -> F_p a ring homomorphism on the elements whose
+    coefficients have denominators prime to p.  A nonzero value there is
+    an internal fault and raises SelfCheckError.
     """
     n = 2 * d
     p = _modulus(n)
@@ -235,11 +237,10 @@ def _generator_image(d: int) -> tuple[int, int] | None:
     g = (zeta + pow(zeta, -1, p)) % p
     value = 0
     for c in reversed(real_cyclotomic_field(d).minpoly):
-        r = _residue(c, p)
-        if r is None:
-            return None
-        value = (value * g + r) % p
-    return (p, g) if value == 0 else None
+        value = (value * g + _residue(c, p)) % p
+    if value:
+        raise SelfCheckError(f"the minimal polynomial of 2*cos(pi/{d}) has no root at its image")
+    return p, g
 
 
 def _residue(q: Fraction, p: int) -> int | None:
@@ -254,18 +255,14 @@ def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
 
     Rational rows use p = _modulus(2); rows with entries in Q(2*cos(pi/d))
     use p = _modulus(2d).  There is no reduction when the entries come
-    from different fields, when the minimal polynomial has no root at the
-    chosen image of the generator, or when p divides a denominator.
+    from different fields or when p divides a denominator.
     """
     fields = {v.field.d for row in rows for v in row.values() if isinstance(v, AlgNum)}
     if len(fields) > 1:
         return None
     if fields:
         d = fields.pop()
-        image = _generator_image(d)
-        if image is None:
-            return None
-        p, g = image
+        p, g = _generator_image(d)
         gpow = [pow(g, i, p) for i in range(real_cyclotomic_field(d).degree)]
     else:
         p = _modulus(2)

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over Q or a real cyclotomic field.
 
 Monomials are exponent tuples (length 2 or 3, variables x > y > z), and a
-polynomial is a mapping from monomials to nonzero coefficients.  Grevlex
-and lex orders, parsing/printing in a small text grammar, homogenization
+polynomial is a mapping from monomials to nonzero coefficients.  The
+grevlex order, parsing/printing in a small text grammar, homogenization
 and grading utilities live here.
 """
 
@@ -50,38 +50,9 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(i, j) for i, j in zip(a, b))
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-class MonomialOrder:
-    """Strict total order on exponent tuples with variable priority x > y > z."""
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        if kind not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order {kind!r}")
-        self.kind = kind
-
-    def key(self, m: Monomial):
-        """Sort key: ascending key order is ascending monomial order."""
-        if self.kind == "grevlex":
-            return (sum(m), tuple(-e for e in reversed(m)))
-        return m
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+def grevlex_key(m: Monomial) -> tuple:
+    """Grevlex sort key, variables x > y > z: ascending key is ascending order."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 def _is_scalar(c) -> bool:
@@ -146,16 +117,13 @@ class MPoly:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def coefficient(self, mono: Monomial):
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=grevlex_key)
 
     def map_coefficients(self, fn: Callable) -> "MPoly":
         return MPoly(self.nvars, {m: fn(c) for m, c in self.terms.items()})
@@ -423,12 +391,12 @@ def _coeff_parts(c) -> tuple[bool, str]:
     return c < 0, str(abs(c))
 
 
-def to_string(p: MPoly, order: MonomialOrder = GREVLEX) -> str:
+def to_string(p: MPoly) -> str:
     """Deterministic rendering; rational output re-parses to an equal polynomial."""
     if not p.terms:
         return "0"
     parts = []
-    for mono, c in sorted(p.terms.items(), key=lambda kv: order.key(kv[0]), reverse=True):
+    for mono, c in sorted(p.terms.items(), key=lambda kv: grevlex_key(kv[0]), reverse=True):
         neg, a = _coeff_parts(c)
         mono_str = "*".join(
             VAR_NAMES[i] if e == 1 else f"{VAR_NAMES[i]}^{e}"
@@ -481,8 +449,8 @@ def partials(f: MPoly) -> tuple[MPoly, ...]:
     return tuple(f.derivative(i) for i in range(f.nvars))
 
 
-def monomial_basis(r: int, nvars: int, order: MonomialOrder = GREVLEX) -> list[Monomial]:
-    """Monomials of degree exactly r (3 vars) or at most r (2 vars), descending."""
+def monomial_basis(r: int, nvars: int) -> list[Monomial]:
+    """Monomials of degree exactly r (3 vars) or at most r (2 vars), grevlex descending."""
     if r < 0:
         raise ValueError("degree must be non-negative")
     monos = []
@@ -496,11 +464,11 @@ def monomial_basis(r: int, nvars: int, order: MonomialOrder = GREVLEX) -> list[M
                 monos.append((a, b))
     else:
         raise ValueError("only 2 or 3 variables are supported")
-    monos.sort(key=order.key, reverse=True)
+    monos.sort(key=grevlex_key, reverse=True)
     return monos
 
 
-def exact_div(num: MPoly, den: MPoly, order: MonomialOrder = GREVLEX) -> MPoly:
+def exact_div(num: MPoly, den: MPoly) -> MPoly:
     """Exact polynomial division; raises InexactDivisionError otherwise."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -508,10 +476,10 @@ def exact_div(num: MPoly, den: MPoly, order: MonomialOrder = GREVLEX) -> MPoly:
         raise ValueError("mixed variable counts")
     quo = MPoly(num.nvars)
     rem = num
-    lm_den = den.leading_monomial(order)
+    lm_den = den.leading_monomial()
     lc_den = den.terms[lm_den]
     while rem.terms:
-        lm = rem.leading_monomial(order)
+        lm = rem.leading_monomial()
         if not mono_divides(lm_den, lm):
             raise InexactDivisionError(f"{to_string(den)} does not divide exactly")
         q_mono = mono_div(lm, lm_den)

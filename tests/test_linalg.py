@@ -1,5 +1,6 @@
 """Exact elimination: rank, kernels, unique solving, the modular certificates."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from chebcurve.linalg import (
     solve_unique,
     strip_content,
 )
-from chebcurve.numberfield import real_cyclotomic_field
+from chebcurve.numberfield import SelfCheckError, real_cyclotomic_field
 
 
 def exact_rank(matrix) -> int:
@@ -304,6 +305,19 @@ class TestCertificate:
         rows = [[g, field.one()], [g, field.one() + p]]
         assert not _reaches_rank_mod_p(*_reduce_mod_p(_to_rows(rows)), 2)
         assert rank(rows) == 2
+
+    def test_generator_image_is_self_checked(self, monkeypatch):
+        # s^2 - s + 1 differs from the minimal polynomial s^2 - s - 1 of
+        # 2*cos(pi/5) by 2, so it cannot vanish at the generator's image
+        field = real_cyclotomic_field(5)
+        wrong = dataclasses.replace(field, minpoly=(Fraction(1), Fraction(-1), Fraction(1)))
+        monkeypatch.setattr(linalg, "real_cyclotomic_field", lambda d: wrong)
+        linalg._generator_image.cache_clear()
+        try:
+            with pytest.raises(SelfCheckError):
+                linalg._generator_image(5)
+        finally:
+            linalg._generator_image.cache_clear()
 
     def test_denominator_divisible_by_p(self):
         p = _modulus(2)
