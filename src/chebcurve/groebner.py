@@ -6,15 +6,27 @@ high-degree Chebyshev curves under control.  There is one reduction loop,
 ``_normal_form_int``; ``normal_form`` is its rational view.  The returned
 reduced basis is monic over Q and canonical, so it is independent of the
 pair-selection strategy.
+
+Inside the loop a monomial is one int, the negated ``grevlex_pack``: a
+monomial product is an int sum, and the smallest key is the grevlex-largest
+monomial, so the leading term of the work is popped from a heap (heapq is
+a min-heap, hence the negation).  A
+two-variable monomial packs as itself times z^0.  Divisibility is tested on
+the three unpacked exponents against each basis element's leading exponents.
+Every packed monomial has degree below 2^GREVLEX_WIDTH: the inputs and each
+S-pair lcm are packed by ``grevlex_pack``, which raises ValueError past that
+width, and no reduction step raises the degree.  Tuples stay at the
+boundary: the basis elements, ``normal_form`` and ``leading_ideal`` speak
+``MPoly`` and exponent tuples.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .linalg import primitive, strip_content
@@ -22,6 +34,8 @@ from .polyring import (
     Monomial,
     MPoly,
     grevlex_key,
+    grevlex_pack,
+    grevlex_unpack,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -36,49 +50,75 @@ class GroebnerBasis:
     @cached_property
     def _primitive(self) -> list[_GPoly]:
         """The primitive integer form of each element, as ``normal_form`` reduces by."""
-        return [_make_gpoly(primitive(g.terms)) for g in self.elements]
+        return [_make_gpoly(_packed(primitive(g.terms))) for g in self.elements]
+
+
+def _packed(terms: dict[Monomial, int]) -> dict[int, int]:
+    return {-grevlex_pack(m): c for m, c in terms.items()}
+
+
+def _exponents(k: int) -> Monomial:
+    """The three exponents of a packed key, z's 0 for two variables."""
+    return grevlex_unpack(-k, 3)
 
 
 class _GPoly:
-    __slots__ = ("terms", "lm", "lc")
+    """A primitive basis element with positive leading coefficient.
 
-    def __init__(self, terms: dict[Monomial, int], lm: Monomial, lc: int):
+    terms maps packed keys to ints; key, exps and lc describe the leading
+    term, and tail lists the other terms as (key, coefficient) pairs.
+    """
+
+    __slots__ = ("terms", "key", "exps", "lc", "tail")
+
+    def __init__(self, terms: dict[int, int], key: int):
         self.terms = terms
-        self.lm = lm
-        self.lc = lc
+        self.key = key
+        self.exps = _exponents(key)
+        self.lc = terms[key]
+        self.tail = [(k, c) for k, c in terms.items() if k != key]
 
 
-def _make_gpoly(terms: dict[Monomial, int]) -> _GPoly | None:
+def _make_gpoly(terms: dict[int, int]) -> _GPoly | None:
     if not terms:
         return None
     strip_content(terms)
-    lm = max(terms, key=grevlex_key)
-    if terms[lm] < 0:
-        terms = {m: -c for m, c in terms.items()}
-    return _GPoly(terms, lm, terms[lm])
+    key = min(terms)
+    if terms[key] < 0:
+        terms = {k: -c for k, c in terms.items()}
+    return _GPoly(terms, key)
 
 
 def _normal_form_int(
-    terms: dict[Monomial, int], basis: list[_GPoly]
-) -> tuple[dict[Monomial, int], Fraction]:
-    """Full normal form of an integer term-dict against the basis.
+    terms: dict[int, int], basis: list[_GPoly]
+) -> tuple[dict[int, int], Fraction]:
+    """Full normal form of a packed integer term-dict against the basis.
 
     Returns (rem, scale): rem is scale times the remainder over Q, since
     the reduction cross-multiplies instead of dividing and strips content.
+    rem lists its terms from the largest down.  The term reduced next is
+    the largest one in the work, and its reducer is the first basis element
+    whose leading monomial divides it.  A term that cancels stays in the
+    work as a zero until the heap reaches it, so each key enters the heap
+    once; no reduction step brings back a key it has passed.
     """
     work = dict(terms)
-    rem: dict[Monomial, int] = {}
+    heap = list(work)
+    heapify(heap)
+    lead = [(g, *g.exps) for g in basis]
+    rem: dict[int, int] = {}
     scale = Fraction(1)
     steps = 0
-    while work:
-        m = max(work, key=grevlex_key)
+    while heap:
+        m = heappop(heap)
         c = work.pop(m)
-        red = None
-        for g in basis:
-            if mono_divides(g.lm, m):
-                red = g
+        if not c:
+            continue
+        e0, e1, e2 = _exponents(m)
+        for red, a0, a1, a2 in lead:
+            if a0 <= e0 and a1 <= e1 and a2 <= e2:
                 break
-        if red is None:
+        else:
             rem[m] = c
             continue
         d = gcd(c, red.lc)
@@ -92,35 +132,34 @@ def _normal_form_int(
                 work[k] *= a
             for k in rem:
                 rem[k] *= a
-        q = mono_div(m, red.lm)
-        for gm, gc in red.terms.items():
-            if gm == red.lm:
-                continue
-            mm = mono_mul(q, gm)
-            nv = work.get(mm, 0) - b * gc
-            if nv:
-                work[mm] = nv
+        q = m - red.key
+        for gm, gc in red.tail:
+            mm = q + gm
+            nv = work.get(mm)
+            if nv is None:
+                work[mm] = -b * gc
+                heappush(heap, mm)
             else:
-                work.pop(mm, None)
+                work[mm] = nv - b * gc
         steps += 1
-        if steps % 64 == 0:
-            # periodic strip keeps the cross-multiplied integers small
+        if steps % 4 == 0:
+            # periodic strip keeps the cross-multiplied integers small; on
+            # dense Jacobians every 2 to 4 steps beats every 64 by a quarter
             scale /= strip_content(work, rem)
     return rem, scale
 
 
-def _s_poly(gi: _GPoly, gj: _GPoly) -> dict[Monomial, int]:
-    lcm = mono_lcm(gi.lm, gj.lm)
+def _s_poly(gi: _GPoly, gj: _GPoly, lcm: Monomial) -> dict[int, int]:
+    key = -grevlex_pack(lcm)
     d = gcd(gi.lc, gj.lc)
     ci = gj.lc // d
     cj = gi.lc // d
-    qi = mono_div(lcm, gi.lm)
-    qj = mono_div(lcm, gj.lm)
-    out: dict[Monomial, int] = {}
-    for m, c in gi.terms.items():
-        out[mono_mul(qi, m)] = ci * c
-    for m, c in gj.terms.items():
-        mm = mono_mul(qj, m)
+    qi = key - gi.key
+    qj = key - gj.key
+    # the leading terms cancel: ci * lc_i == cj * lc_j
+    out = {qi + m: ci * c for m, c in gi.tail}
+    for m, c in gj.tail:
+        mm = qj + m
         nv = out.get(mm, 0) - cj * c
         if nv:
             out[mm] = nv
@@ -147,7 +186,7 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
         raise ValueError("the ideal needs a nonzero generator")
     basis: list[_GPoly] = []
     for p in sorted(gens, key=lambda q: grevlex_key(q.leading_monomial())):
-        r, _ = _normal_form_int(primitive(p.terms), basis)
+        r, _ = _normal_form_int(_packed(primitive(p.terms)), basis)
         g = _make_gpoly(r)
         if g is not None:
             basis.append(g)
@@ -157,10 +196,10 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
     queue: deque = deque()
 
     def push_pair(i: int, j: int):
-        lcm = mono_lcm(basis[i].lm, basis[j].lm)
+        lcm = mono_lcm(basis[i].exps, basis[j].exps)
         pending.add((i, j))
         if strategy == "normal":
-            heapq.heappush(heap, (grevlex_key(lcm), i, j))
+            heappush(heap, (grevlex_key(lcm), i, j))
         else:
             queue.append((i, j))
 
@@ -173,7 +212,7 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
             if strategy == "normal":
                 if not heap:
                     return None
-                _, i, j = heapq.heappop(heap)
+                _, i, j = heappop(heap)
             else:
                 if not queue:
                     return None
@@ -188,9 +227,9 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
             break
         i, j = pair
         gi, gj = basis[i], basis[j]
-        lcm = mono_lcm(gi.lm, gj.lm)
+        lcm = mono_lcm(gi.exps, gj.exps)
         # product criterion: coprime leading monomials reduce to zero
-        if lcm == mono_mul(gi.lm, gj.lm):
+        if lcm == mono_mul(gi.exps, gj.exps):
             continue
         # chain criterion: a third element divides the lcm and both side
         # pairs have already been handled
@@ -198,7 +237,7 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
-            if mono_divides(basis[k].lm, lcm):
+            if mono_divides(basis[k].exps, lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik not in pending and pjk not in pending:
@@ -206,7 +245,7 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
                     break
         if skip:
             continue
-        r, _ = _normal_form_int(_s_poly(gi, gj), basis)
+        r, _ = _normal_form_int(_s_poly(gi, gj, lcm), basis)
         g = _make_gpoly(r)
         if g is None:
             continue
@@ -221,18 +260,19 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
 def _reduce_basis(basis: list[_GPoly], nvars: int) -> tuple[MPoly, ...]:
     # minimal subset: no leading monomial divides another's
     chosen: list[_GPoly] = []
-    for g in sorted(basis, key=lambda g: grevlex_key(g.lm)):
-        if not any(mono_divides(h.lm, g.lm) for h in chosen):
+    for g in sorted(basis, key=lambda g: -g.key):
+        if not any(mono_divides(h.exps, g.exps) for h in chosen):
             chosen.append(g)
-    # tail-reduce every element against the others, then make monic
+    # tail-reduce every element against the others, then make monic; no
+    # other leading monomial divides g's, so g keeps it and the order holds
     reduced: list[MPoly] = []
     for idx, g in enumerate(chosen):
         others = chosen[:idx] + chosen[idx + 1 :]
         terms, _ = _normal_form_int(dict(g.terms), others)
-        lm = max(terms, key=grevlex_key)
-        lc = terms[lm]
-        reduced.append(MPoly(nvars, {m: Fraction(c, lc) for m, c in terms.items()}))
-    reduced.sort(key=lambda p: grevlex_key(p.leading_monomial()))
+        lc = terms[g.key]
+        reduced.append(
+            MPoly(nvars, {grevlex_unpack(-k, nvars): Fraction(c, lc) for k, c in terms.items()})
+        )
     return tuple(reduced)
 
 
@@ -242,14 +282,17 @@ def normal_form(p: MPoly, G: GroebnerBasis) -> MPoly:
 
     The primitive multiple of p is reduced against the primitive basis
     elements, built once per basis, and the remainder is scaled back.
+    ValueError when p and the basis have different variable counts.
     """
+    if p.nvars != G.elements[0].nvars:
+        raise ValueError("the polynomial and the basis must share a variable count")
     if p.is_zero():
         return p
     terms = primitive(p.terms)
     m = next(iter(terms))
-    rem, scale = _normal_form_int(terms, G._primitive)
+    rem, scale = _normal_form_int(_packed(terms), G._primitive)
     scale *= terms[m] / Fraction(p.terms[m])  # terms is p times this factor
-    return MPoly(p.nvars, {k: c / scale for k, c in rem.items()})
+    return MPoly(p.nvars, {grevlex_unpack(-k, p.nvars): c / scale for k, c in rem.items()})
 
 
 def leading_ideal(G: GroebnerBasis) -> tuple[Monomial, ...]:

@@ -2,8 +2,9 @@
 
 Monomials are exponent tuples (length 2 or 3, variables x > y > z), and a
 polynomial is a mapping from monomials to nonzero coefficients.  The
-grevlex order, parsing/printing in a small text grammar, homogenization
-and grading utilities live here.
+grevlex order (as a tuple key, and packed into one int for the Groebner
+loop), parsing/printing in a small text grammar, homogenization and
+grading utilities live here.
 """
 
 from __future__ import annotations
@@ -53,6 +54,33 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 def grevlex_key(m: Monomial) -> tuple:
     """Grevlex sort key, variables x > y > z: ascending key is ascending order."""
     return (sum(m), tuple(-e for e in reversed(m)))
+
+
+GREVLEX_WIDTH = 16  # bits per field of a packed monomial
+_FIELD = (1 << GREVLEX_WIDTH) - 1
+_FIELDS = (1 << 3 * GREVLEX_WIDTH) - 1
+
+
+def grevlex_pack(m: Monomial) -> int:
+    """The monomial as one int L(m) = deg*B^3 - sum(e_i * B^i), B = 2^GREVLEX_WIDTH.
+
+    Ints compare as grevlex_key does, and L(a) + L(b) = L(a*b) while the
+    product's degree fits.  ValueError when the degree is B or more, since
+    a field that overflows would misorder silently.
+    """
+    deg = sum(m)
+    if deg > _FIELD:
+        raise ValueError(f"monomial degree {deg} exceeds the packed width of {_FIELD}")
+    key = deg << 3 * GREVLEX_WIDTH
+    for i, e in enumerate(m):
+        key -= e << i * GREVLEX_WIDTH
+    return key
+
+
+def grevlex_unpack(key: int, nvars: int) -> Monomial:
+    """Inverse of grevlex_pack for a monomial in nvars variables."""
+    s = -key & _FIELDS
+    return tuple((s >> i * GREVLEX_WIDTH) & _FIELD for i in range(nvars))
 
 
 def _is_scalar(c) -> bool:

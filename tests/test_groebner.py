@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebcurve.groebner import (
@@ -14,7 +14,15 @@ from chebcurve.groebner import (
     s_polynomial,
 )
 from chebcurve.hilbert import hilbert_numerator, series_dims
-from chebcurve.polyring import MPoly, monomial_basis, parse, partials
+from chebcurve.polyring import (
+    GREVLEX_WIDTH,
+    MPoly,
+    dehomogenize,
+    grevlex_key,
+    monomial_basis,
+    parse,
+    partials,
+)
 
 
 def gb_of(*texts, strategy="normal"):
@@ -79,6 +87,17 @@ class TestBuchberger:
         with pytest.raises(ValueError):
             buchberger(gens)
 
+    def test_generator_past_the_packed_width_raises(self):
+        with pytest.raises(ValueError, match="packed width"):
+            buchberger([MPoly(3, {(1 << GREVLEX_WIDTH, 0, 0): 1})])
+
+    @pytest.mark.parametrize("strategy", ["normal", "fifo"])
+    def test_s_pair_past_the_packed_width_raises(self, strategy):
+        # each generator fits; the lcm x^40000*y^40000 of their leading terms does not
+        gens = [parse("x^40000*y - z"), parse("x*y^40000 - z")]
+        with pytest.raises(ValueError, match="packed width"):
+            buchberger(gens, strategy=strategy)
+
 
 class TestDeterminism:
     CASES = [
@@ -119,6 +138,18 @@ class TestNormalForm:
         p = parse("x^3 + y^3 - 2*x*z^2 + z^3")
         r = normal_form(p, gb)
         assert normal_form(p - r, gb).is_zero()
+
+    @pytest.mark.parametrize(
+        "p, gens",
+        [
+            (parse("x^2 + y", nvars=2), [parse("x^2 - z^2"), parse("y")]),
+            (parse("x + y + z"), [parse("x", nvars=2)]),
+        ],
+        ids=["two-in-three", "three-in-two"],
+    )
+    def test_rejects_a_polynomial_of_another_ring(self, p, gens):
+        with pytest.raises(ValueError, match="variable count"):
+            normal_form(p, buchberger(gens))
 
     def test_primitive_basis_built_once(self, monkeypatch):
         from chebcurve import groebner
@@ -273,9 +304,67 @@ class TestRationalNormalForm:
         assert normal_form(p, gb) == expected
 
     def test_long_reduction_past_content_strip(self):
-        # x -> 3y/2 seventy times: more than the 64 steps between content strips
+        # x -> 3y/2 seventy times, past many periodic content strips
         gb = gb_of("2*x - 3*y")
         for c in (Fraction(1), Fraction(1, 5), Fraction(-7, 3)):
             p = MPoly(3, {(70, 0, 0): c, (0, 0, 70): Fraction(1, 2)})
             expected = MPoly(3, {(0, 70, 0): c * Fraction(3, 2) ** 70, (0, 0, 70): Fraction(1, 2)})
             assert normal_form(p, gb) == expected
+
+
+def _from_sympy(poly, nvars):
+    return MPoly(nvars, {m: Fraction(int(c.p), int(c.q)) for m, c in poly.terms()})
+
+
+def _sympy_reduced_basis(gens, nvars):
+    """The monic reduced grevlex basis by sympy, in buchberger's element order."""
+    sympy = pytest.importorskip("sympy")
+    xyz = sympy.symbols("x y z")[:nvars]
+    polys = [_to_sympy(g, xyz) for g in gens if not g.is_zero()]
+    basis = sympy.groebner(polys, *xyz, order="grevlex", domain="QQ")
+    elements = [_from_sympy(p, nvars) for p in basis.polys]
+    return tuple(sorted(elements, key=lambda p: grevlex_key(p.leading_monomial())))
+
+
+_small_int = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def ternary_forms(draw):
+    d = draw(st.integers(min_value=3, max_value=5))
+    monos = draw(st.lists(st.sampled_from(monomial_basis(d, 3)), min_size=2, max_size=8, unique=True))
+    f = MPoly(3, {m: draw(_small_int) for m in monos})
+    assume(not f.is_zero())
+    return f
+
+
+def _random_form(draw, degree):
+    return MPoly(3, {m: draw(_small_int) for m in monomial_basis(degree, 3)})
+
+
+@st.composite
+def chart_ideals(draw):
+    """Dehomogenized partials of a product of lines and conics, as arrangement's charts."""
+    g = MPoly.constant(1, 3)
+    for degree in draw(st.lists(st.sampled_from([1, 2]), min_size=2, max_size=3)):
+        g = g * _random_form(draw, degree)
+    assume(g.degree() >= 3)
+    return [dehomogenize(p) for p in partials(g)]
+
+
+class TestSympyReducedBasis:
+    @pytest.mark.parametrize("strategy", ["normal", "fifo"])
+    @settings(max_examples=12, deadline=None)
+    @given(ternary_forms())
+    def test_jacobians_of_ternary_forms(self, strategy, f):
+        gens = partials(f)
+        expected = _sympy_reduced_basis(gens, 3)
+        assert buchberger(gens, strategy=strategy).elements == expected
+
+    @pytest.mark.parametrize("strategy", ["normal", "fifo"])
+    @settings(max_examples=12, deadline=None)
+    @given(chart_ideals())
+    def test_two_variable_chart_ideals(self, strategy, gens):
+        assume(any(not p.is_zero() for p in gens))
+        expected = _sympy_reduced_basis(gens, 2)
+        assert buchberger(gens, strategy=strategy).elements == expected

@@ -108,6 +108,32 @@ class TestNodeCount:
         assert expected_node_count(d) == count
 
 
+def _cube_of_one_minus_power(e):
+    """(1 - t^e)^3 as ascending coefficients."""
+    out = [0] * (3 * e + 1)
+    for k, c in enumerate((1, -3, 3, -1)):
+        out[k * e] = c
+    return tuple(out)
+
+
+class TestSmoothFermatOracle:
+    # L1^d + L2^d + L3^d with det(L1, L2, L3) != 0 is the Fermat curve in
+    # other coordinates, so it is smooth and its partials are a complete
+    # intersection of three forms of degree d - 1: the numerator is
+    # (1 - t^(d-1))^3 whatever the coefficients swell to on the way
+    @pytest.mark.parametrize(
+        "lines",
+        [("x + 2*y - z", "x - y + 3*z", "2*x + y + z"), ("3*x - y + 2*z", "x + 4*y - z", "-2*x + y + 5*z")],
+        ids=["det3", "det84"],
+    )
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_numerator_and_tau(self, d, lines):
+        f = sum((parse(line) ** d for line in lines), parse("0"))
+        prof = milnor_profile(f)
+        assert prof.hilbert.numerator == _cube_of_one_minus_power(d - 1)
+        assert prof.tau == 0
+
+
 class TestMilnorProfile:
     def test_quartic_numerator(self):
         prof = milnor_profile(curve_polynomial(4))

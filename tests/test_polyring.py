@@ -12,12 +12,17 @@ from chebcurve.polyring import (
     MPoly,
     ParseError,
     dehomogenize,
+    GREVLEX_WIDTH,
     exact_div,
+    grevlex_key,
+    grevlex_pack,
+    grevlex_unpack,
     homogenize,
+    mono_divides,
+    mono_mul,
     monomial_basis,
     parse,
     partials,
-    grevlex_key,
     to_string,
 )
 
@@ -209,6 +214,54 @@ class TestProperties:
         if p.is_zero() or q.is_zero():
             return
         assert exact_div(p * q, q) == p
+
+
+def _monomials_up_to(degree, nvars):
+    if nvars == 2:
+        return monomial_basis(degree, 2)  # two variables: degree at most r
+    return [m for r in range(degree + 1) for m in monomial_basis(r, 3)]
+
+
+class TestPackedGrevlex:
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_int_order_is_the_tuple_order(self, nvars):
+        monos = _monomials_up_to(12, nvars)
+        by_key = sorted(monos, key=grevlex_key)
+        assert sorted(monos, key=grevlex_pack) == by_key
+        assert len({grevlex_pack(m) for m in monos}) == len(monos)
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_product_is_sum_and_unpack_round_trips(self, nvars):
+        monos = _monomials_up_to(5, nvars)
+        for a in monos:
+            assert grevlex_unpack(grevlex_pack(a), nvars) == a
+            for b in monos:
+                assert grevlex_pack(a) + grevlex_pack(b) == grevlex_pack(mono_mul(a, b))
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_divisibility_on_unpacked_exponents(self, nvars):
+        # groebner tests divisibility on three exponents, z's 0 for two variables
+        monos = _monomials_up_to(5, nvars)
+        for a in monos:
+            ea = grevlex_unpack(grevlex_pack(a), 3)
+            for b in monos:
+                eb = grevlex_unpack(grevlex_pack(b), 3)
+                assert mono_divides(ea, eb) == mono_divides(a, b)
+
+    def test_widest_degree_packs(self):
+        top = (1 << GREVLEX_WIDTH) - 1
+        for m in [(top, 0, 0), (0, 0, top), (0, top), (top - 2, 1, 1)]:
+            assert grevlex_unpack(grevlex_pack(m), len(m)) == m
+        assert grevlex_pack((0, top, 0)) < grevlex_pack((top, 0, 0))
+        assert grevlex_pack((top - 1, 0, 0)) < grevlex_pack((0, 0, top))
+
+    @pytest.mark.parametrize(
+        "m",
+        [(1 << GREVLEX_WIDTH, 0, 0), (0, 0, 1 << GREVLEX_WIDTH), (1 << 15, 1 << 15, 0), (1 << 15, 1 << 15)],
+    )
+    def test_degree_past_the_width_raises(self, m):
+        with pytest.raises(ValueError, match="packed width"):
+            grevlex_pack(m)
 
 
 _field = real_cyclotomic_field(5)
