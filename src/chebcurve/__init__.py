@@ -10,12 +10,10 @@ from .numberfield import (
     AlgNum,
     FieldSpec,
     SelfCheckError,
-    alg_inv,
     cos_multiple,
     critical_point,
     cyclotomic,
     real_cyclotomic_field,
-    real_subfield_minpoly,
 )
 from .polyring import (
     InexactDivisionError,
@@ -75,12 +73,10 @@ __all__ = [
     "AlgNum",
     "FieldSpec",
     "SelfCheckError",
-    "alg_inv",
     "cos_multiple",
     "critical_point",
     "cyclotomic",
     "real_cyclotomic_field",
-    "real_subfield_minpoly",
     "InexactDivisionError",
     "MPoly",
     "ParseError",

@@ -22,14 +22,16 @@ from fractions import Fraction
 from . import upoly
 from .arrangement import rationality_test
 from .chebyshev import build, curve_polynomial, verify_nodes
+from .groebner import buchberger, leading_ideal
 from .hilbert import (
     chebyshev_milnor_numerator,
     expected_node_count,
+    hilbert_numerator,
     milnor_profile,
 )
 from .interp import evaluation_kernel_dim, evaluation_thresholds, node_evaluation_surjective
 from .numberfield import AlgNum, SelfCheckError
-from .polyring import MPoly, ParseError, parse, to_string
+from .polyring import MPoly, ParseError, parse, partials, to_string
 from .syzygy import koszul_relations, syzygy_dim, syzygy_dim_from_hilbert, verify_resolution
 
 EXIT_OK = 0
@@ -304,12 +306,8 @@ def _verify_items(d: int, strategy: str, timings: dict) -> list[dict]:
     )
 
     if d <= GROEBNER_MAX_D:
-        from .groebner import buchberger, leading_ideal
-        from .hilbert import hilbert_numerator
-        from .polyring import partials as poly_partials
-
         f = curve_polynomial(d)
-        gb = buchberger(poly_partials(f), strategy=strategy)
+        gb = buchberger(partials(f), strategy=strategy)
         numerator = hilbert_numerator(leading_ideal(gb))
         closed = chebyshev_milnor_numerator(d)
         item(

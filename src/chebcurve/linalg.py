@@ -1,14 +1,14 @@
 """Exact sparse linear algebra over Q and the cyclotomic fields.
 
-There are two elimination loops.  ``_rank_exact`` is fraction-free: rational
-rows are scaled to primitive integers, each update is a two-term
+There are two elimination loops.  ``_rank_exact`` is fraction-free over Q:
+rational rows are scaled to primitive integers, each update is a two-term
 cross-multiplication followed by content removal, and pivots are chosen by
-a Markowitz-style fill-in estimate (field-valued rows, with AlgNum entries,
-use exact division instead).  ``Echelon`` is incremental: pivot rows are
-normalized to lead 1 and keyed by their leading column, over F_p for the
-certificates below and over Q or Q(2*cos(pi/d)) for ``solve_unique``.
-``primitive`` and ``strip_content`` are the content helpers of the
-fraction-free loop and of the Groebner-basis reductions.
+a Markowitz-style fill-in estimate.  ``Echelon`` is incremental: pivot rows
+are normalized to lead 1 and keyed by their leading column, over F_p for
+the certificates below and over the entries' field for everything else
+(rows with AlgNum entries, whose exact rank ``_rank_exact`` hands to it,
+and ``solve_unique``).  ``primitive`` and ``strip_content`` are the content
+helpers of the fraction-free loop and of the Groebner-basis reductions.
 
 Rank is certified before it is computed.  Reducing the entries modulo one
 prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
@@ -35,8 +35,8 @@ Bull. 1982).  Only a vector whose product with A the caller has proven
 zero over Q joins K, so the sandwich stays a proof.  Callers fall back to
 ``rank`` when it does not close.
 
-The unique solve, which needs a solution rather than a rank, runs the
-echelon over the entries' field.  No floating point anywhere.
+``solve_unique``, which needs a solution rather than a rank, runs the
+echelon over the entries' field too.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -131,10 +131,14 @@ def _count_columns(row: Row, col_count: dict[int, int], step: int) -> None:
 
 
 def _rank_exact(rows: list[Row]) -> int:
-    """Rank of non-empty rows by exact elimination over Q or the entries' field."""
-    rational = _is_rational(rows)
-    if rational:
-        rows = [primitive(r) for r in rows]
+    """Rank of non-empty rows by exact elimination: fraction-free over Q, and
+    by an ``Echelon`` over the entries' field when any entry is an AlgNum."""
+    if not _is_rational(rows):
+        echelon = Echelon()
+        for row in rows:
+            echelon.insert(row)
+        return len(echelon.pivots)
+    rows = [primitive(r) for r in rows]
     active = list(enumerate(rows))
     col_count: dict[int, int] = {}
     for row in rows:
@@ -151,31 +155,20 @@ def _rank_exact(rows: list[Row]) -> int:
             rv = row.get(c)
             if rv:
                 _count_columns(row, col_count, -1)
-                if rational:
-                    d = gcd(pv, rv)
-                    a = pv // d
-                    b = rv // d
-                    new: Row = {}
-                    for cc, v in row.items():
-                        new[cc] = a * v
-                    for cc, v in pivot.items():
-                        nv = new.get(cc, 0) - b * v
-                        if nv:
-                            new[cc] = nv
-                        else:
-                            new.pop(cc, None)
-                    strip_content(new)
-                    row = new
-                else:
-                    f = rv / pv
-                    new = dict(row)
-                    for cc, v in pivot.items():
-                        nv = new.get(cc, 0) - f * v
-                        if nv:
-                            new[cc] = nv
-                        else:
-                            new.pop(cc, None)
-                    row = new
+                d = gcd(pv, rv)
+                a = pv // d
+                b = rv // d
+                new: Row = {}
+                for cc, v in row.items():
+                    new[cc] = a * v
+                for cc, v in pivot.items():
+                    nv = new.get(cc, 0) - b * v
+                    if nv:
+                        new[cc] = nv
+                    else:
+                        new.pop(cc, None)
+                strip_content(new)
+                row = new
                 if not row:
                     continue
                 _count_columns(row, col_count, 1)

@@ -221,11 +221,6 @@ class AlgNum:
         return f"AlgNum({self}, d={self.field.d})"
 
 
-def alg_inv(a: AlgNum) -> AlgNum:
-    """Multiplicative inverse, via the extended Euclidean algorithm."""
-    return a.inverse()
-
-
 @lru_cache(maxsize=None)
 def real_cyclotomic_field(d: int) -> FieldSpec:
     """Field spec for Q(2*cos(pi/d)), d >= 2.
@@ -249,11 +244,6 @@ def real_cyclotomic_field(d: int) -> FieldSpec:
     if upoly.degree(minpoly) != expected:
         raise SelfCheckError("minimal polynomial has unexpected degree")
     return FieldSpec(d=d, minpoly=minpoly, degree=expected)
-
-
-def real_subfield_minpoly(d: int) -> Coeffs:
-    """Minimal polynomial of 2*cos(pi/d) over Q."""
-    return real_cyclotomic_field(d).minpoly
 
 
 def cos_multiple(field: FieldSpec, k: int) -> AlgNum:

@@ -496,23 +496,41 @@ def monomial_basis(r: int, nvars: int) -> list[Monomial]:
     return monos
 
 
+def divide(num: MPoly, divisors: Sequence[MPoly]) -> tuple[MPoly, ...]:
+    """Quotients q_i with num = sum q_i * divisors[i], by grevlex division.
+
+    The leading term of what is left is cancelled by the first divisor whose
+    leading monomial divides it; a term that no leading monomial divides
+    raises InexactDivisionError.  When the divisors are a Groebner basis,
+    that happens exactly when num is not in their ideal.  Coefficients may
+    be of any field the divisors' leading coefficients invert in.
+    """
+    if any(g.is_zero() for g in divisors):
+        raise ZeroDivisionError("division by the zero polynomial")
+    if any(g.nvars != num.nvars for g in divisors):
+        raise ValueError("mixed variable counts")
+    leads = [(g.leading_monomial(), g) for g in divisors]
+    rem = dict(num.terms)
+    quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
+    while rem:
+        lm = max(rem, key=grevlex_key)
+        for quo, (lm_g, g) in zip(quotients, leads):
+            if mono_divides(lm_g, lm):
+                break
+        else:
+            raise InexactDivisionError(f"{', '.join(map(to_string, divisors))} does not divide exactly")
+        q_mono = mono_div(lm, lm_g)
+        q = quo[q_mono] = rem[lm] / g.terms[lm_g]
+        for m, c in g.terms.items():
+            m = mono_mul(q_mono, m)
+            v = rem.get(m, 0) - q * c
+            if v:
+                rem[m] = v
+            else:
+                del rem[m]
+    return tuple(MPoly(num.nvars, quo) for quo in quotients)
+
+
 def exact_div(num: MPoly, den: MPoly) -> MPoly:
     """Exact polynomial division; raises InexactDivisionError otherwise."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.nvars != den.nvars:
-        raise ValueError("mixed variable counts")
-    quo = MPoly(num.nvars)
-    rem = num
-    lm_den = den.leading_monomial()
-    lc_den = den.terms[lm_den]
-    while rem.terms:
-        lm = rem.leading_monomial()
-        if not mono_divides(lm_den, lm):
-            raise InexactDivisionError(f"{to_string(den)} does not divide exactly")
-        q_mono = mono_div(lm, lm_den)
-        q_coeff = rem.terms[lm] / lc_den
-        term = MPoly(num.nvars, {q_mono: q_coeff})
-        quo = quo + term
-        rem = rem - term * den
-    return quo
+    return divide(num, (den,))[0]

@@ -4,12 +4,12 @@ A syzygy in degree r is a triple (a1, a2, a3) of degree-r forms with
 a1*fx + a2*fy + a3*fz = 0.  Dimensions are kernel dimensions of exact
 degree matrices; an independent count comes from the Hilbert data by
 rank-nullity, and the distinguished non-Koszul relations are constructed
-explicitly by dividing the companion curve by one conic factor.
+explicitly by polynomial division: the companion curve by one conic
+factor, then by the Groebner basis {fx, fy}.
 
 Every matrix here is built by ``macaulay_matrix``, the degree slice of
 (c_1, ..., c_k) -> sum c_i * v_i for tuples of forms v_i: the Jacobian
-degree matrices, the solve for a non-Koszul relation and the matrices of
-the relation module.
+degree matrices and the matrices of the relation module.
 
 For the Chebyshev curve the relations prove the ranks.  Each non-Koszul
 relation passes an identity check when it is built, and the Koszul ones
@@ -38,8 +38,17 @@ from typing import Sequence
 from . import linalg
 from .chebyshev import curve_affine, curve_polynomial, minus_conics
 from .hilbert import milnor_profile, series_dims
-from .numberfield import SelfCheckError, real_cyclotomic_field
-from .polyring import MPoly, exact_div, homogenize, mono_mul, monomial_basis, partials
+from .numberfield import SelfCheckError
+from .polyring import (
+    InexactDivisionError,
+    MPoly,
+    divide,
+    exact_div,
+    homogenize,
+    mono_mul,
+    monomial_basis,
+    partials,
+)
 
 
 Relations = tuple[tuple[tuple[MPoly, ...], int], ...]
@@ -59,7 +68,8 @@ def macaulay_matrix(
     e_i of its multiplier c_i (none when e_i < 0), with every component
     times c_i of the given degree.  Rows are indexed by (component, monomial
     of that degree), columns by (generator, multiplier monomial), both in
-    monomial_basis order.
+    monomial_basis order.  Entries are the components' coefficients as they
+    are, so rational and Q(2*cos(pi/d)) generators share one matrix.
     """
     targets = monomial_basis(degree, nvars=3)
     index = {m: i for i, m in enumerate(targets)}
@@ -163,36 +173,27 @@ def syzygy_dim_from_hilbert(f: MPoly, r: int) -> int:
 def nontrivial_syzygy(d: int, j: int) -> tuple[MPoly, MPoly, MPoly]:
     """The j-th non-Koszul relation of the degree-d Chebyshev curve.
 
-    The third component is the exact quotient of the homogenized companion
-    curve by its j-th conic factor; the first two components (unique, of
-    degree d-2) are then solved for exactly.  The returned triple satisfies
-    a1*fx + a2*fy + a3*fz = 0 identically.
+    The third component a3 is the exact quotient of the homogenized
+    companion curve by its j-th conic factor.  The leading monomials
+    x^(d-1) of fx and y^(d-1) of fy are coprime, so {fx, fy} is a Groebner
+    basis, and a1, a2 are the quotients of dividing -a3*fz by it.  They are
+    the only ones of degree d-2: fx and fy have no common factor (its
+    leading monomial would divide both), so the syzygies of (fx, fy) are
+    the multiples of (fy, -fx), of degree d-1.  The returned triple satisfies
+    a1*fx + a2*fy + a3*fz = 0 identically; a failed division or identity
+    is an internal fault and raises SelfCheckError.
     """
     if d < 3:
         raise ValueError("require d >= 3")
     conics = minus_conics(d)
     if not 1 <= j <= len(conics):
         raise ValueError(f"require 1 <= j <= {len(conics)}")
-    field = real_cyclotomic_field(d)
-    f_minus = homogenize(curve_affine(d, "minus"), d).map_coefficients(field.from_rational)
-    g_j = homogenize(conics[j - 1], 2)
-    a3 = exact_div(f_minus, g_j)
-
-    f = curve_polynomial(d)
-    fx, fy, fz = partials(f)
-    fx = fx.map_coefficients(field.from_rational)
-    fy = fy.map_coefficients(field.from_rational)
-    fz = fz.map_coefficients(field.from_rational)
-
-    # the last column holds -(a3 * fz), the right-hand side
-    gens = [((fx,), d - 2), ((fy,), d - 2), ((-(a3 * fz),), 0)]
-    rows, ncols = macaulay_matrix(gens, 2 * d - 3)
-    rhs = [row.pop(ncols - 1, field.zero()) for row in rows]
-    sol = linalg.solve_unique(rows, rhs, ncols - 1)
-    unknown_monos = monomial_basis(d - 2, nvars=3)
-    n = len(unknown_monos)
-    a1 = MPoly(3, {m: sol[i] for i, m in enumerate(unknown_monos)})
-    a2 = MPoly(3, {m: sol[n + i] for i, m in enumerate(unknown_monos)})
+    fx, fy, fz = partials(curve_polynomial(d))
+    try:
+        a3 = exact_div(homogenize(curve_affine(d, "minus"), d), homogenize(conics[j - 1], 2))
+        a1, a2 = divide(-(a3 * fz), (fx, fy))
+    except InexactDivisionError as exc:
+        raise SelfCheckError(f"relation construction failed: {exc}") from exc
     if a1 * fx + a2 * fy + a3 * fz != MPoly.zero(3):
         raise SelfCheckError("constructed relation does not vanish")
     return a1, a2, a3
@@ -209,18 +210,14 @@ def koszul_relations(f: MPoly) -> list[tuple[tuple[MPoly, MPoly, MPoly], int]]:
 
 def chebyshev_relations(d: int) -> Relations:
     """The distinguished relations (degree d-2) and the Koszul trio (degree
-    d-1) of the degree-d Chebyshev curve, over Q(2*cos(pi/d)).
+    d-1) of the degree-d Chebyshev curve.
 
-    The distinguished ones come from the cache of ``nontrivial_syzygy``,
-    which checks each identity when it builds it.
+    The distinguished ones, over Q(2*cos(pi/d)), come from the cache of
+    ``nontrivial_syzygy``, which checks each identity when it builds it;
+    the Koszul trio keeps its rational coefficients.
     """
-    field = real_cyclotomic_field(d)
     rels = [(nontrivial_syzygy(d, j), d - 2) for j in range(1, len(minus_conics(d)) + 1)]
-    rels += [
-        (tuple(p.map_coefficients(field.from_rational) for p in rel), deg)
-        for rel, deg in koszul_relations(curve_polynomial(d))
-    ]
-    return tuple(rels)
+    return tuple(rels + koszul_relations(curve_polynomial(d)))
 
 
 def relation_matrix(relations: Relations, r: int) -> tuple[list[dict[int, object]], int]:

@@ -293,16 +293,36 @@ class TestSelfCheckExit:
     def test_relation_does_not_vanish(self, capsys, monkeypatch):
         import chebcurve.syzygy as syzygy
 
-        solve = syzygy.linalg.solve_unique
-        monkeypatch.setattr(
-            syzygy.linalg,
-            "solve_unique",
-            lambda rows, rhs, ncols: [v + 1 for v in solve(rows, rhs, ncols)],
-        )
+        divide = syzygy.divide
+
+        def perturbed(num, divisors):
+            a1, a2 = divide(num, divisors)
+            return a1 + 1, a2
+
+        monkeypatch.setattr(syzygy, "divide", perturbed)
         syzygy.nontrivial_syzygy.cache_clear()
         rc, out, err = run(capsys, "verify", "-d", "4")
         assert rc == 1 and out == ""
         assert "internal self-check failed: constructed relation does not vanish" in err
+
+    def test_relation_division_fails(self, capsys, monkeypatch):
+        # verify reads no input, so a division that fails inside the
+        # relation construction is an internal fault, not an input error
+        import chebcurve.syzygy as syzygy
+        from chebcurve.polyring import parse
+
+        conics = syzygy.minus_conics
+
+        def stray_x(d):
+            first, *rest = conics(d)
+            return (first + parse("x", nvars=2), *rest)
+
+        monkeypatch.setattr(syzygy, "minus_conics", stray_x)
+        syzygy.nontrivial_syzygy.cache_clear()
+        rc, out, err = run(capsys, "verify", "-d", "4")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: internal self-check failed: relation construction failed: ")
+        assert err.endswith("does not divide exactly\n")
 
 
 class TestVerify:

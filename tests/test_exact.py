@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from chebcurve import upoly
 from chebcurve.numberfield import (
     AlgNum,
-    alg_inv,
     cos_multiple,
     critical_point,
     cyclotomic,
     real_cyclotomic_field,
-    real_subfield_minpoly,
 )
 
 
@@ -59,17 +57,17 @@ class TestCyclotomic:
 class TestMinimalPolynomial:
     def test_degree_three_is_rational(self):
         # 2*cos(pi/3) = 1
-        assert real_subfield_minpoly(3) == upoly.upoly([-1, 1])
+        assert real_cyclotomic_field(3).minpoly == upoly.upoly([-1, 1])
 
     def test_degree_four(self):
-        assert real_subfield_minpoly(4) == upoly.upoly([-2, 0, 1])
+        assert real_cyclotomic_field(4).minpoly == upoly.upoly([-2, 0, 1])
 
     def test_degree_five_golden(self):
-        assert real_subfield_minpoly(5) == upoly.upoly([-1, -1, 1])
+        assert real_cyclotomic_field(5).minpoly == upoly.upoly([-1, -1, 1])
 
     @pytest.mark.parametrize("d", range(2, 25))
     def test_degree_formula(self, d):
-        assert upoly.degree(real_subfield_minpoly(d)) == _totient(2 * d) // 2
+        assert upoly.degree(real_cyclotomic_field(d).minpoly) == _totient(2 * d) // 2
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_generator_satisfies_chebyshev_identity(self, d):
@@ -79,7 +77,7 @@ class TestMinimalPolynomial:
         for _ in range(2 * d - 1):
             v_prev, v = v, upoly.sub(upoly.mul(upoly.T, v), v_prev)
         identity = upoly.sub(v, upoly.upoly([2]))
-        assert upoly.poly_mod(identity, real_subfield_minpoly(d)) == upoly.ZERO
+        assert upoly.poly_mod(identity, real_cyclotomic_field(d).minpoly) == upoly.ZERO
 
 
 class TestCriticalPoints:
@@ -126,22 +124,22 @@ class TestCriticalPoints:
 class TestInverse:
     def test_identity(self):
         field = real_cyclotomic_field(5)
-        assert alg_inv(field.one()) == 1
+        assert field.one().inverse() == 1
 
     def test_sqrt2(self):
         field = real_cyclotomic_field(4)
         g = field.gen()
-        assert alg_inv(g) == g * Fraction(1, 2)
+        assert g.inverse() == g * Fraction(1, 2)
 
     def test_golden(self):
         field = real_cyclotomic_field(5)
         g = field.gen()
-        assert alg_inv(g) == g - 1
+        assert g.inverse() == g - 1
 
     def test_zero_rejected(self):
         field = real_cyclotomic_field(5)
         with pytest.raises(ZeroDivisionError):
-            alg_inv(field.zero())
+            field.zero().inverse()
 
 
 _fields = [real_cyclotomic_field(d) for d in (4, 5, 7, 8)]
@@ -182,7 +180,7 @@ class TestFieldAxioms:
     def test_inverse_roundtrip(self, a):
         if a.is_zero():
             return
-        assert a * alg_inv(a) == 1
+        assert a * a.inverse() == 1
 
     @settings(max_examples=30)
     @given(field_elements())

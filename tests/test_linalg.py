@@ -218,9 +218,9 @@ class TestKernelCertificate:
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_pairs())
-    def test_agrees_with_exact_path(self, case):
+    def test_agrees_with_exact_path(self, sympy_rank, case):
         a, k, s = case
-        exact = exact_rank(a)
+        exact = sympy_rank(a)
         assert kernel_certificate(a, k) == (exact if exact == s else None)
 
 
@@ -267,11 +267,11 @@ class TestLiftedKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(kernel_pairs())
-    def test_lifted_rank_is_exact(self, case):
+    def test_lifted_rank_is_exact(self, sympy_rank, case):
         a, k, s = case
         lift, _ = exact_kernel_vector(a)
         got = kernel_certificate(a, [row[:1] for row in k], lift)
-        assert got is None or got == exact_rank(a)
+        assert got is None or got == sympy_rank(a)
 
 
 class TestRationalReconstruction:
@@ -338,14 +338,14 @@ class TestCertificate:
 
     @settings(max_examples=80, deadline=None)
     @given(product_matrices())
-    def test_agrees_with_exact_path(self, case):
+    def test_agrees_with_exact_path(self, sympy_rank, case):
         matrix, k = case
         got = rank(matrix)
-        assert got == exact_rank(matrix)
+        assert got == sympy_rank(matrix)
         assert got <= k
 
     @pytest.mark.parametrize("d", range(3, 9))
-    def test_curve_ranks_agree_with_exact_path(self, monkeypatch, d):
+    def test_curve_ranks_agree_with_exact_path(self, monkeypatch, sympy_rank, d):
         # A rank below the full-rank bound can only come from the exact
         # path, so only full-rank answers need the cross-check.
         certified = []
@@ -354,7 +354,7 @@ class TestCertificate:
             got = rank(matrix)
             rows = [r for r in _to_rows(matrix) if r]
             if rows and got == full_rank_bound(rows):
-                assert _rank_exact(rows) == got
+                assert sympy_rank(rows) == got
                 certified.append(got)
             return got
 

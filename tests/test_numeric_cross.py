@@ -12,7 +12,7 @@ import pytest
 
 from chebcurve import upoly
 from chebcurve.chebyshev import build, chebyshev_T, curve_affine
-from chebcurve.numberfield import AlgNum, critical_point, real_cyclotomic_field, real_subfield_minpoly
+from chebcurve.numberfield import AlgNum, critical_point, real_cyclotomic_field
 
 TOL = 1e-8
 
@@ -35,7 +35,7 @@ class TestNumericEmbedding:
     @pytest.mark.parametrize("d", range(2, 25))
     def test_minimal_polynomial_has_the_right_root(self, d):
         gamma = 2.0 * math.cos(math.pi / d)
-        value = upoly.evaluate(real_subfield_minpoly(d), gamma)
+        value = upoly.evaluate(real_cyclotomic_field(d).minpoly, gamma)
         assert abs(float(value)) < TOL
 
     @pytest.mark.parametrize("d", range(2, 13))

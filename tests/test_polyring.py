@@ -13,6 +13,7 @@ from chebcurve.polyring import (
     ParseError,
     dehomogenize,
     GREVLEX_WIDTH,
+    divide,
     exact_div,
     grevlex_key,
     grevlex_pack,
@@ -334,3 +335,69 @@ class TestExactDivision:
         # printing is deterministic and sorted by the active order
         p = parse("y^2 + x^2 + x*y")
         assert to_string(p) == "x^2 + x*y + y^2"
+
+
+_MONOS = _monomials_up_to(3, 3)
+_COPRIME_LEADS = [
+    (a, b)
+    for a in _MONOS
+    for b in _MONOS
+    if sum(a) and sum(b) and not any(i and j for i, j in zip(a, b))
+]
+
+
+@st.composite
+def division_cases(draw):
+    """(g1, g2, q1, q2, m) over Q, Q(2*cos(pi/5)) or Q(2*cos(pi/7)): g1, g2
+    lead with coprime monomials of positive degree, so {g1, g2} is a
+    Groebner basis, and m is a monomial that neither leading monomial
+    divides."""
+    d = draw(st.sampled_from([None, 5, 7]))
+    if d is None:
+        coeff = _small_coeff
+    else:
+        field = real_cyclotomic_field(d)
+        ints = st.integers(min_value=-3, max_value=3)
+        coeff = st.lists(ints, min_size=field.degree, max_size=field.degree).map(field.element)
+    nonzero = coeff.filter(bool)
+
+    def poly(lead=None):
+        below = [m for m in _MONOS if lead is None or grevlex_key(m) < grevlex_key(lead)]
+        terms = {m: draw(coeff) for m in draw(st.lists(st.sampled_from(below), max_size=4))}
+        if lead is not None:
+            terms[lead] = draw(nonzero)
+        return MPoly(3, terms)
+
+    lead1, lead2 = draw(st.sampled_from(_COPRIME_LEADS))
+    standard = [m for m in _monomials_up_to(5, 3) if not (mono_divides(lead1, m) or mono_divides(lead2, m))]
+    return poly(lead1), poly(lead2), poly(), poly(), draw(st.sampled_from(standard))
+
+
+class TestDivide:
+    @settings(max_examples=60, deadline=None)
+    @given(division_cases())
+    def test_reproduces_the_numerator(self, case):
+        g1, g2, q1, q2, _ = case
+        num = q1 * g1 + q2 * g2
+        r1, r2 = divide(num, (g1, g2))
+        assert r1 * g1 + r2 * g2 == num
+
+    @settings(max_examples=60, deadline=None)
+    @given(division_cases())
+    def test_standard_monomial_raises(self, case):
+        # the normal form of num + m modulo the Groebner basis is m, not 0
+        g1, g2, q1, q2, m = case
+        with pytest.raises(InexactDivisionError):
+            divide(q1 * g1 + q2 * g2 + MPoly(3, {m: 1}), (g1, g2))
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            divide(parse("x^2"), (parse("x"), MPoly.zero(3)))
+
+    def test_mixed_variable_counts(self):
+        with pytest.raises(ValueError):
+            divide(parse("x^2"), (parse("x"), parse("y", nvars=2)))
+
+    def test_first_divisor_wins(self):
+        # x*y is divisible by both leading monomials; the first takes it
+        assert divide(parse("x*y"), (parse("y"), parse("x"))) == (parse("x"), MPoly.zero(3))

@@ -19,6 +19,7 @@ from chebcurve.syzygy import (
     chebyshev_relations,
     expected_relation_kernel_dim,
     jacobian_degree_matrix,
+    macaulay_matrix,
     nontrivial_syzygy,
     relation_matrix,
     relation_module_kernel_dim,
@@ -72,27 +73,21 @@ class TestMacaulayMatrix:
         gens = [((g,), r) for g in partials(f)]
         check_against_mpoly(rows, ncols, gens, r + f.degree() - 1, seed=r)
 
-    @pytest.mark.parametrize("d", [4, 5, 6])
-    def test_nontrivial_syzygy_matrix(self, monkeypatch, d):
-        captured = []
-        solve = linalg.solve_unique
-
-        def capture(rows, rhs, ncols):
-            captured.append((rows, rhs, ncols))
-            return solve(rows, rhs, ncols)
-
-        monkeypatch.setattr(linalg, "solve_unique", capture)
-        nontrivial_syzygy.cache_clear()
-        try:
-            _, _, a3 = nontrivial_syzygy(d, 1)
-        finally:
-            nontrivial_syzygy.cache_clear()
-        ((rows, rhs, ncols),) = captured
-        field = real_cyclotomic_field(d)
-        fx, fy, fz = (p.map_coefficients(field.from_rational) for p in partials(curve_polynomial(d)))
-        check_against_mpoly(rows, ncols, [((fx,), d - 2), ((fy,), d - 2)], 2 * d - 3)
-        targets = monomial_basis(2 * d - 3, nvars=3)
-        assert rhs == [(-(a3 * fz)).coefficient(m) for m in targets]
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_nontrivial_syzygy_matrix(self, d):
+        # the quotients of the division by {fx, fy} are the unique solution
+        # of a1*fx + a2*fy = -a3*fz in degree 2d-3, solved by elimination
+        fx, fy, fz = partials(curve_polynomial(d))
+        gens = [((fx,), d - 2), ((fy,), d - 2)]
+        rows, ncols = macaulay_matrix(gens, 2 * d - 3)
+        check_against_mpoly(rows, ncols, gens, 2 * d - 3)
+        unknowns = monomial_basis(d - 2, nvars=3)
+        for j in range(1, len(minus_conics(d)) + 1):
+            a1, a2, a3 = nontrivial_syzygy(d, j)
+            target = -(a3 * fz)
+            rhs = [target.coefficient(m) for m in monomial_basis(2 * d - 3, nvars=3)]
+            expected = linalg.solve_unique(rows, rhs, ncols)
+            assert [a.coefficient(m) for a in (a1, a2) for m in unknowns] == expected
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_relation_module_matrix(self, monkeypatch, d):
@@ -202,7 +197,7 @@ def exact_rank(rows) -> int:
 
 class TestKernelCertificate:
     @pytest.mark.parametrize("d", range(3, 9))
-    def test_certified_ranks_match_exact(self, d):
+    def test_certified_ranks_match_exact(self, sympy_rank, d):
         # Exact ranks of the relation matrices above r = d+2 at d = 7, 8
         # take about 13 s together on a 2-CPU Xeon VM, so there only the
         # degrees of the resolution check are compared with them.
@@ -214,7 +209,7 @@ class TestKernelCertificate:
             rank_j = linalg.kernel_certificate(rows, kernel)
             assert rank_j == exact_rank(rows)
             if d <= 6 or r <= d + 2:
-                assert ncols - rank_j == exact_rank(kernel)
+                assert ncols - rank_j == sympy_rank(kernel)
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_resolution_needs_no_exact_elimination(self, monkeypatch, d):
