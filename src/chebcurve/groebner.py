@@ -89,13 +89,13 @@ def _make_gpoly(terms: dict[int, int]) -> _GPoly | None:
     return _GPoly(terms, key)
 
 
-def _normal_form_int(
-    terms: dict[int, int], basis: list[_GPoly]
-) -> tuple[dict[int, int], Fraction]:
+def _normal_form_int(terms: dict[int, int], basis: list[_GPoly], scaled: bool = False):
     """Full normal form of a packed integer term-dict against the basis.
 
-    Returns (rem, scale): rem is scale times the remainder over Q, since
-    the reduction cross-multiplies instead of dividing and strips content.
+    Returns rem, a multiple of the remainder over Q, since the reduction
+    cross-multiplies instead of dividing and strips content; with scaled,
+    returns (rem, scale) with rem = scale times that remainder.  Only
+    ``normal_form`` needs the scale, so the loop keeps it only when asked.
     rem lists its terms from the largest down.  The term reduced next is
     the largest one in the work, and its reducer is the first basis element
     whose leading monomial divides it.  A term that cancels stays in the
@@ -107,7 +107,7 @@ def _normal_form_int(
     heapify(heap)
     lead = [(g, *g.exps) for g in basis]
     rem: dict[int, int] = {}
-    scale = Fraction(1)
+    scale = Fraction(1) if scaled else None
     steps = 0
     while heap:
         m = heappop(heap)
@@ -127,7 +127,8 @@ def _normal_form_int(
         if a < 0:
             a, b = -a, -b
         if a != 1:
-            scale *= a
+            if scaled:
+                scale *= a
             for k in work:
                 work[k] *= a
             for k in rem:
@@ -145,8 +146,10 @@ def _normal_form_int(
         if steps % 4 == 0:
             # periodic strip keeps the cross-multiplied integers small; on
             # dense Jacobians every 2 to 4 steps beats every 64 by a quarter
-            scale /= strip_content(work, rem)
-    return rem, scale
+            content = strip_content(work, rem)
+            if scaled:
+                scale /= content
+    return (rem, scale) if scaled else rem
 
 
 def _s_poly(gi: _GPoly, gj: _GPoly, lcm: Monomial) -> dict[int, int]:
@@ -186,7 +189,7 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
         raise ValueError("the ideal needs a nonzero generator")
     basis: list[_GPoly] = []
     for p in sorted(gens, key=lambda q: grevlex_key(q.leading_monomial())):
-        r, _ = _normal_form_int(_packed(primitive(p.terms)), basis)
+        r = _normal_form_int(_packed(primitive(p.terms)), basis)
         g = _make_gpoly(r)
         if g is not None:
             basis.append(g)
@@ -245,7 +248,7 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
                     break
         if skip:
             continue
-        r, _ = _normal_form_int(_s_poly(gi, gj, lcm), basis)
+        r = _normal_form_int(_s_poly(gi, gj, lcm), basis)
         g = _make_gpoly(r)
         if g is None:
             continue
@@ -268,7 +271,7 @@ def _reduce_basis(basis: list[_GPoly], nvars: int) -> tuple[MPoly, ...]:
     reduced: list[MPoly] = []
     for idx, g in enumerate(chosen):
         others = chosen[:idx] + chosen[idx + 1 :]
-        terms, _ = _normal_form_int(dict(g.terms), others)
+        terms = _normal_form_int(dict(g.terms), others)
         lc = terms[g.key]
         reduced.append(
             MPoly(nvars, {grevlex_unpack(-k, nvars): Fraction(c, lc) for k, c in terms.items()})
@@ -290,7 +293,7 @@ def normal_form(p: MPoly, G: GroebnerBasis) -> MPoly:
         return p
     terms = primitive(p.terms)
     m = next(iter(terms))
-    rem, scale = _normal_form_int(_packed(terms), G._primitive)
+    rem, scale = _normal_form_int(_packed(terms), G._primitive, scaled=True)
     scale *= terms[m] / Fraction(p.terms[m])  # terms is p times this factor
     return MPoly(p.nvars, {grevlex_unpack(-k, p.nvars): c / scale for k, c in rem.items()})
 

@@ -14,6 +14,9 @@ Rank is certified before it is computed.  Reducing the entries modulo one
 prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
 2*cos(pi/d) goes to zeta + 1/zeta for a 2d-th root of unity zeta in F_p),
 so a nonzero minor mod p lifts to a nonzero minor: rank mod p <= rank.
+A field element sum(num_i * g^i) / den, with int numerators, maps to
+(sum num_i * image(g)^i) * den^-1 mod p, one modular inverse per entry;
+an entry whose den p divides has no image.
 Every rank is at most min(#nonzero rows, #nonzero columns).  When the
 echelon over F_p reaches that bound, the two bounds meet and the rank is
 proven.  Otherwise, and whenever no reduction applies (p divides a
@@ -44,6 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .numberfield import AlgNum, SelfCheckError, real_cyclotomic_field
@@ -248,7 +252,8 @@ def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
 
     Rational rows use p = _modulus(2); rows with entries in Q(2*cos(pi/d))
     use p = _modulus(2d).  There is no reduction when the entries come
-    from different fields or when p divides a denominator.
+    from different fields or when p divides a denominator (of a Fraction,
+    or the common one of an AlgNum).
     """
     fields = {v.field.d for row in rows for v in row.values() if isinstance(v, AlgNum)}
     if len(fields) > 1:
@@ -263,14 +268,11 @@ def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
     def image(v) -> int | None:
         if not isinstance(v, AlgNum):
             return _residue(v, p)
-        r = 0
-        for a, gi in zip(v.coeffs, gpow):
-            if a:
-                ra = _residue(a, p)
-                if ra is None:
-                    return None
-                r += ra * gi
-        return r % p
+        # (sum num_i * g^i) / den: one inverse per entry, none when den is 1
+        if v.den % p == 0:
+            return None
+        r = sum(map(mul, v.num, gpow))
+        return r % p if v.den == 1 else r * pow(v.den, -1, p) % p
 
     # matrices built from a few polynomials repeat the same entry objects
     memo: dict[int, int | None] = {}

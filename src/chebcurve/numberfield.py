@@ -2,16 +2,27 @@
 
 The generator g = 2*cos(pi/d) is an algebraic integer, so the cosines
 cos(k*pi/d) that appear as Chebyshev critical coordinates are elements
-with denominator at most 2.  Field elements are dense coefficient vectors
-reduced modulo the minimal polynomial of g, which is read off the
-palindromic cyclotomic polynomial Phi_2d; all arithmetic is exact.
+with denominator at most 2.  The minimal polynomial psi of g is read off
+the palindromic cyclotomic polynomial Phi_2d.
+
+An element is sum(num[i] * g**i) / den: a tuple of ``degree`` int
+numerators over one positive int denominator, kept canonical, with
+gcd(den, *num) = 1 (zero is all zeros over 1), so equal elements have
+equal (num, den).  Because g is an algebraic integer, psi is monic with
+integer coefficients, and g**degree is the int vector ``FieldSpec.tail``.
+A product is therefore an integer convolution whose high coefficients are
+folded back by adding int multiples of ``tail``, with no division, over the
+product of the denominators, followed by one gcd.  ``coeffs`` is the
+Fraction view of an element, for output and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, sub
 
 from . import upoly
 from .upoly import Coeffs
@@ -50,72 +61,102 @@ def cyclotomic(n: int) -> Coeffs:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The field Q(2*cos(pi/d)), presented by the generator's minimal polynomial."""
+    """The field Q(2*cos(pi/d)), presented by the generator's minimal polynomial.
+
+    ``tail`` is g**degree as an int vector in 1, g, ..., g**(degree-1):
+    minus the lower coefficients of the monic integral minimal polynomial,
+    which is checked when the spec is made.
+    """
 
     d: int
     minpoly: Coeffs
     degree: int
+    tail: tuple[int, ...] = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        psi = self.minpoly
+        integral = all(Fraction(c).denominator == 1 for c in psi)
+        if len(psi) != self.degree + 1 or psi[-1] != 1 or not integral:
+            raise SelfCheckError("minimal polynomial is not monic in Z[t] of the field's degree")
+        object.__setattr__(self, "tail", tuple(-int(c) for c in psi[:-1]))
 
     def zero(self) -> "AlgNum":
-        return AlgNum(self, (Fraction(0),) * self.degree)
+        return AlgNum(self, (0,) * self.degree, 1)
 
     def one(self) -> "AlgNum":
         return self.from_rational(1)
 
     def gen(self) -> "AlgNum":
         if self.degree == 1:
-            # g is rational: minpoly is t - c
-            return self.from_rational(-self.minpoly[0])
-        cs = [Fraction(0)] * self.degree
-        cs[1] = Fraction(1)
-        return AlgNum(self, tuple(cs))
+            # g is rational: minpoly is t - g
+            return self.from_rational(self.tail[0])
+        return AlgNum(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def from_rational(self, q) -> "AlgNum":
-        cs = [Fraction(0)] * self.degree
-        cs[0] = Fraction(q)
-        return AlgNum(self, tuple(cs))
+        q = q if isinstance(q, (int, Fraction)) else Fraction(q)
+        return AlgNum(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def element(self, coeffs) -> "AlgNum":
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            cs = list(_reduce_mod(self, cs))
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return AlgNum(self, tuple(cs))
+        """The element sum(coeffs[i] * g**i), for any number of rational coefficients."""
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        num = _reduce(self, [c.numerator * (den // c.denominator) for c in cs])
+        return _canonical(self, num, den)
 
 
-def _reduce_mod(field: FieldSpec, cs: list[Fraction]) -> tuple[Fraction, ...]:
-    mp = field.minpoly
+def _reduce(field: FieldSpec, cs: list[int]) -> tuple[int, ...]:
+    """The int vector cs of powers of g, folded into 1, g, ..., g**(degree-1).
+
+    The top coefficient c at g**k becomes c * tail at g**(k-degree), from
+    the top down; psi is monic, so this needs no division.
+    """
     n = field.degree
-    for i in range(len(cs) - 1, n - 1, -1):
-        c = cs[i]
+    tail = field.tail
+    for k in range(len(cs) - 1, n - 1, -1):
+        c = cs[k]
         if c:
-            cs[i] = Fraction(0)
-            for j in range(n):
-                cs[i - n + j] -= c * mp[j]
-    out = cs[:n]
-    out += [Fraction(0)] * (n - len(out))
-    return tuple(out)
+            for j, t in enumerate(tail, k - n):
+                cs[j] += c * t
+    del cs[n:]
+    cs += [0] * (n - len(cs))
+    return tuple(cs)
+
+
+def _canonical(field: FieldSpec, num: tuple[int, ...], den: int) -> "AlgNum":
+    """num / den (den > 0) with gcd(den, *num) divided out."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    return AlgNum(field, num, den)
 
 
 class AlgNum:
-    """An element of a FieldSpec, stored as a reduced coefficient vector in g."""
+    """An element sum(num[i] * g**i) / den of a FieldSpec, in canonical form."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: FieldSpec, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: FieldSpec, num: tuple[int, ...], den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients of 1, g, ..., g**(degree-1)."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def _coerce(self, other):
         if isinstance(other, AlgNum):
@@ -126,54 +167,62 @@ class AlgNum:
             return self.field.from_rational(other)
         return None
 
+    def _combine(self, o: "AlgNum", op) -> "AlgNum":
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return _canonical(self.field, tuple(map(op, self.num, o.num)), d1)
+        num = tuple(op(a * d2, b * d1) for a, b in zip(self.num, o.num))
+        return _canonical(self.field, num, d1 * d2)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgNum(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(o, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgNum(self.field, tuple(-a for a in self.coeffs))
+        return AlgNum(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgNum(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._combine(self, sub)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar (an int has numerator and denominator too)
+            # only scales the numerators
+            num = tuple(a * other.numerator for a in self.num)
+            return _canonical(self.field, num, self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.field.degree
-        prod = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    prod[i + j] += a * b
-        return AlgNum(self.field, _reduce_mod(self.field, prod))
+        prod = [0] * (2 * self.field.degree - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(o.num, i):
+                    prod[j] += a * b
+        return _canonical(self.field, _reduce(self.field, prod), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgNum":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        a = upoly.upoly(self.coeffs)
-        g, u, _ = upoly.xgcd(a, self.field.minpoly)
+        # (num / den)^-1 = den * u with u * num = 1 modulo the minimal polynomial
+        g, u, _ = upoly.xgcd(upoly.upoly(self.num), self.field.minpoly)
         if upoly.degree(g) != 0:
             raise SelfCheckError("minimal polynomial is not irreducible")
-        red = list(upoly.poly_mod(u, self.field.minpoly))
-        return self.field.element(red)
+        return self.field.element(upoly.scale(upoly.poly_mod(u, self.field.minpoly), self.den))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -206,13 +255,16 @@ class AlgNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __bool__(self):
         return not self.is_zero()
 
     def __hash__(self):
-        return hash((self.field.d, self.coeffs))
+        # a rational element equals its Fraction, so it must hash like it
+        if self.is_rational():
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field.d, self.num, self.den))
 
     def __str__(self):
         return upoly.to_string(upoly.upoly(self.coeffs), var="g")

@@ -1,6 +1,8 @@
 """Rational and cyclotomic field arithmetic."""
 
+import dataclasses
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from chebcurve import upoly
 from chebcurve.numberfield import (
     AlgNum,
+    SelfCheckError,
     cos_multiple,
     critical_point,
     cyclotomic,
@@ -205,6 +208,104 @@ class TestFieldAxioms:
         for e in range(7):
             assert a**e == products[e]
 
+
+def _ref_mul(field, a, b):
+    """Fraction reference product: schoolbook, then top-down reduction by psi."""
+    n = field.degree
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k]
+        for j in range(n + 1):
+            prod[k - n + j] -= c * field.minpoly[j]
+    return prod[:n]
+
+
+def _assert_canonical(a):
+    assert len(a.num) == a.field.degree
+    assert all(type(c) is int for c in a.num) and type(a.den) is int
+    assert a.den > 0 and gcd(a.den, *a.num) == 1
+    assert a.coeffs == tuple(Fraction(c, a.den) for c in a.num)
+
+
+@st.composite
+def field_pairs(draw):
+    """Two elements of Q(2*cos(pi/d)), d = 3..16, and their Fraction coefficients."""
+    field = real_cyclotomic_field(draw(st.integers(min_value=3, max_value=16)))
+    coeff = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+    a, b = (draw(st.lists(coeff, min_size=field.degree, max_size=field.degree)) for _ in "ab")
+    return field, a, b
+
+
+class TestIntegerVectorElements:
+    """Each operation against a Fraction-vector reference that lives only here."""
+
+    @settings(max_examples=150)
+    @given(field_pairs(), st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    def test_ring_operations_match_the_fraction_reference(self, pair, q):
+        field, ra, rb = pair
+        a, b = field.element(ra), field.element(rb)
+        results = {
+            "+": (a + b, [x + y for x, y in zip(ra, rb)]),
+            "-": (a - b, [x - y for x, y in zip(ra, rb)]),
+            "*": (a * b, _ref_mul(field, ra, rb)),
+            "q*": (q * a, [q * x for x in ra]),
+            "*int": (a * q.numerator, [q.numerator * x for x in ra]),
+            "-a": (-a, [-x for x in ra]),
+        }
+        for op, (got, want) in results.items():
+            _assert_canonical(got)
+            assert list(got.coeffs) == want, op
+
+    @settings(max_examples=60)
+    @given(field_pairs(), st.integers(min_value=-3, max_value=5))
+    def test_inverse_and_powers_match_the_fraction_reference(self, pair, e):
+        field, ra, _ = pair
+        a = field.element(ra)
+        one = [Fraction(1)] + [Fraction(0)] * (field.degree - 1)
+        if not any(ra):
+            assert a.is_zero() and a.den == 1
+            return
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert _ref_mul(field, ra, list(inv.coeffs)) == one
+        want = one
+        for _ in range(abs(e)):
+            want = _ref_mul(field, want, ra if e > 0 else list(inv.coeffs))
+        got = a**e
+        _assert_canonical(got)
+        assert list(got.coeffs) == want
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_tail_is_the_integral_minimal_polynomial(self, d):
+        field = real_cyclotomic_field(d)
+        assert field.minpoly[-1] == 1
+        assert field.tail == tuple(-int(c) for c in field.minpoly[:-1])
+        g = field.gen()
+        assert (g**field.degree).coeffs == tuple(Fraction(t) for t in field.tail)
+
+    def test_non_monic_or_non_integral_minimal_polynomial_is_refused(self):
+        field = real_cyclotomic_field(5)
+        for wrong in ((-1, -1, 2), (Fraction(1, 2), -1, 1), (-1, 1)):
+            with pytest.raises(SelfCheckError):
+                dataclasses.replace(field, minpoly=upoly.upoly(wrong))
+
+    def test_rational_elements_hash_like_their_fractions(self):
+        field = real_cyclotomic_field(5)
+        half = field.from_rational(Fraction(1, 2))
+        assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+        assert len({half, Fraction(1, 2)}) == 1
+        assert len({field.from_rational(3), 3, Fraction(6, 2)}) == 1
+        assert len({field.gen(), field.gen() * 1, half}) == 2
+
+    def test_zero_is_zeros_over_one(self):
+        field = real_cyclotomic_field(7)
+        a = field.element([Fraction(1, 3), Fraction(-2, 5), 1])
+        for zero in (a - a, a * 0, field.element([]), field.zero()):
+            assert zero.num == (0, 0, 0) and zero.den == 1
+            assert zero == 0 and hash(zero) == hash(0)
 
 class TestUPoly:
     def test_divmod_roundtrip(self):

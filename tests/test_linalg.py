@@ -319,6 +319,32 @@ class TestCertificate:
         finally:
             linalg._generator_image.cache_clear()
 
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=3, max_value=16),
+        st.lists(st.fractions(-50, 50, max_denominator=30), min_size=8, max_size=8),
+    )
+    def test_field_entries_reduce_coefficientwise(self, d, coeffs):
+        # the image of an entry is sum residue(c_i) * g^i mod p over its
+        # Fraction coefficients c_i
+        field = real_cyclotomic_field(d)
+        p, g = linalg._generator_image(d)
+        a = field.element(coeffs[: field.degree])
+        row = {0: a, 1: a * a, 2: Fraction(3, 7)}
+        (image,), q = _reduce_mod_p([row])
+        assert q == p
+        for c, v in row.items():
+            cs = v.coeffs if c < 2 else (v,)
+            want = sum(linalg._residue(x, p) * pow(g, i, p) for i, x in enumerate(cs)) % p
+            assert image.get(c, 0) == want
+
+    def test_field_entry_with_denominator_divisible_by_p(self):
+        field = real_cyclotomic_field(7)
+        p = _modulus(14)
+        for coeffs in ([Fraction(1, p)], [1, Fraction(2, 3 * p)], [0, 0, Fraction(1, p * p)]):
+            assert _reduce_mod_p(_to_rows([[field.gen(), field.element(coeffs)]])) is None
+        assert _reduce_mod_p(_to_rows([[field.element([1, Fraction(1, 3 * p)]) * p]])) is not None
+
     def test_denominator_divisible_by_p(self):
         p = _modulus(2)
         assert _reduce_mod_p(_to_rows([[Fraction(1, p)]])) is None
