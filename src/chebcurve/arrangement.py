@@ -4,19 +4,20 @@ The test compares the number of nodes (the Tjurina number, read from the
 Milnor algebra at the general stabilization bound) with the graded
 dimension at 2d-3: equality certifies that every irreducible component is
 rational, and the difference reports the total geometric genus otherwise.
-Nodality itself is certified by counting distinct singular points in a
-chart z = 1 that holds all of them, which holds exactly when the chart
-ideal has tau standard monomials.  The identity chart is tried first, then
-the shears z -> z + a*x + a^2*y for a = 1, 2, ...; each singular point
-rules out at most two values of a, so one of a = 0..2*tau holds them all.
-A singular point is a node exactly when the Hessian does not vanish there,
-so all tau points are nodes exactly when the Hessian is a unit modulo the
-chart ideal, that is when its multiplication matrix has full rank, which
-one elimination mod p proves.  Otherwise the rank of Hermite's trace form
-on the chart's quotient algebra counts the points.  Reducedness needs no
-gcd: in characteristic 0 a homogeneous f is reduced exactly when its
-singular locus is finite, which the Hilbert numerator of the Milnor
-algebra already shows.
+Nodality itself is certified by counting the distinct singular points in
+two disjoint parts, the chart z = 1 and the line z = 0.  In the chart, a
+singular point is a node exactly when the Hessian does not vanish there,
+so all n points of the chart ideal (n its standard monomials) are nodes
+exactly when the Hessian is a unit modulo the ideal, that is when its
+multiplication matrix has full rank, which one elimination mod p proves.
+Otherwise the rank of Hermite's trace form on the chart's quotient algebra
+counts the points.  On z = 0 the singular points are, by Euler's relation,
+the common zeros of the three partials, which one univariate gcd finds.
+Each point has Tjurina number at least 1, so n equals tau exactly when no
+point lies at infinity; a disagreement is a failed self-check.
+Reducedness needs no gcd: in characteristic 0 a homogeneous f is reduced
+exactly when its singular locus is finite, which the Hilbert numerator of
+the Milnor algebra already shows.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, upoly
 from .groebner import GroebnerBasis, buchberger, leading_ideal, normal_form
 from .hilbert import milnor_profile
 from .numberfield import SelfCheckError
-from .polyring import Monomial, MPoly, dehomogenize, partials, variables
+from .polyring import Monomial, MPoly, dehomogenize, partials
 
 
 class SingularLocusError(RuntimeError):
@@ -85,20 +86,20 @@ def _multiples(p: MPoly, monomials: list[Monomial], gb: GroebnerBasis) -> dict[M
     return out
 
 
-def _chart_point_count(g: MPoly, tau: int) -> int | None:
-    """Distinct singular points of g = 0, or None when one lies on z = 0.
+def _chart_point_count(f: MPoly, tau: int, at_infinity: int) -> int:
+    """Distinct singular points of f = 0 in the chart z = 1.
 
     By Euler's relation the chart ideal I of the partials at z = 1 is
-    (G, G_x, G_y) for G = g(x, y, 1), so its standard monomials number the
-    sum of the Tjurina numbers of the singular points in the chart.  Each
-    is at least 1, so that sum is the total Tjurina number tau of the curve
-    exactly when no singular point lies at infinity, and never more: more
-    fails a self-check.
+    (F, F_x, F_y) for F = f(x, y, 1), so its n standard monomials number
+    the sum of the Tjurina numbers of the singular points in the chart.
+    Each is at least 1, so n is the total Tjurina number tau of the curve
+    exactly when no singular point lies at infinity, and never more: more,
+    or an n that disagrees with ``at_infinity``, fails a self-check.
 
-    A singular point is a node exactly when the Hessian of G does not
-    vanish there, so every point is a node, and there are tau of them,
+    A singular point is a node exactly when the Hessian of F does not
+    vanish there, so every point is a node, and there are n of them,
     exactly when the Hessian is a unit in A = Q[x, y]/I.  By
-    Stickelberger's theorem that holds exactly when its tau x tau
+    Stickelberger's theorem that holds exactly when its n x n
     multiplication matrix has full rank.  Otherwise the points are counted
     by Hermite's trace form (a, b) -> Tr(m_ab) on A, whose rank is the
     number of distinct points of V(I) (Pedersen, Roy & Szpirglas 1993): its
@@ -106,20 +107,21 @@ def _chart_point_count(g: MPoly, tau: int) -> int | None:
     the trace of m_s for a standard monomial s sums the coefficients of s'
     in NF(s s') over the standard monomials s'.
     """
-    gb = buchberger(dehomogenize(p) for p in partials(g))
+    gb = buchberger(dehomogenize(p) for p in partials(f))
     standard = _standard_monomials(leading_ideal(gb))
     if standard is None or len(standard) > tau:
         raise SelfCheckError("the chart's Tjurina count exceeds the curve's")
-    if len(standard) < tau:
-        return None  # a singular point lies at infinity
-    if tau == 0:
-        return 0  # smooth curve: empty singular locus
-    gx, gy = (dehomogenize(g).derivative(v) for v in (0, 1))
-    gxy = gx.derivative(1)
-    hessian = _multiples(gx.derivative(0) * gy.derivative(1) - gxy * gxy, standard, gb)
+    n = len(standard)
+    if n == tau and at_infinity:
+        raise SelfCheckError("the chart holds all of tau, yet a singular point lies at infinity")
+    if n < tau and not at_infinity:
+        raise SelfCheckError("the chart misses part of tau, yet no singular point lies at infinity")
+    fx, fy = (dehomogenize(f).derivative(v) for v in (0, 1))
+    fxy = fx.derivative(1)
+    hessian = _multiples(fx.derivative(0) * fy.derivative(1) - fxy * fxy, standard, gb)
     index = {m: i for i, m in enumerate(standard)}
-    if linalg.rank(_row(p, index) for p in hessian.values()) == tau:
-        return tau
+    if linalg.rank(_row(p, index) for p in hessian.values()) == n:
+        return n
     doubled = sorted({(a + c, b + e) for a, b in standard for c, e in standard})
     products = _multiples(MPoly.constant(Fraction(1), 2), doubled, gb)
     traces = {
@@ -130,31 +132,54 @@ def _chart_point_count(g: MPoly, tau: int) -> int | None:
     return linalg.rank([[value[a + c, b + e] for c, e in standard] for a, b in standard])
 
 
+def _points_at_infinity(f: MPoly) -> int:
+    """Distinct singular points of f = 0 on the line z = 0.
+
+    By Euler's relation d*f = x*f_x + y*f_y + z*f_z, a point of z = 0 is
+    singular exactly when f_x, f_y and f_z vanish there, that is when it is
+    a common zero of their restrictions to z = 0, binary forms of degree
+    d - 1.  Dehomogenized at y = 1, the common zeros (x0:1:0) are the
+    roots of the gcd h of the nonzero forms, of which there are
+    deg h - deg gcd(h, h') distinct ones; (1:0:0) is a common zero exactly
+    when y divides every nonzero form.  All three forms zero means the
+    line z = 0 is singular, which a reduced curve rules out.
+    """
+    d = f.degree()
+    forms = []
+    for p in partials(f):
+        coeffs = [0] * d
+        for (a, _, c), v in p.terms.items():
+            if not c:
+                coeffs[a] = v
+        if any(coeffs):
+            forms.append(upoly.upoly(coeffs))
+    if not forms:
+        raise SelfCheckError("the line z = 0 is singular, yet the curve is reduced")
+    h = forms[0]
+    for p in forms[1:]:
+        h = upoly.gcd_poly(h, p)
+    distinct = upoly.degree(h) - upoly.degree(upoly.gcd_poly(h, upoly.derivative(h)))
+    return distinct + all(upoly.degree(p) < d - 1 for p in forms)
+
+
 def count_distinct_singular_points(f: MPoly) -> int:
     """Number of distinct singular points of the projective curve f = 0.
 
-    Counts in the chart z = 1 of f itself, then of the shears
-    f(x, y, z + a*x + a^2*y) for a = 1, 2, ..., and returns the first count
-    from a chart that holds the whole Tjurina number tau of f, that is, with
-    no singular point on the line at infinity; that count is a proof.  A
-    singular point (x0:y0:z0) lies on the sheared line at infinity exactly
-    when y0*a^2 + x0*a - z0 = 0, which has no root when x0 = y0 = 0 and at
-    most two otherwise.  There are at most tau points, so some a in
-    0..2*tau is accepted, and finding none is a failed self-check.  A
-    non-reduced f has no finite tau.
+    The points in the chart z = 1 and on the line z = 0 are counted apart
+    and added; each has Tjurina number at least 1, so a sum above the
+    Tjurina number tau of f is a failed self-check.  A non-reduced f has no
+    finite tau.
     """
     if f.nvars != 3:
         raise ValueError("expected a polynomial in x, y, z")
     tau = milnor_profile(f).tau
     if tau is None:
         raise SingularLocusError("the singular locus is not finite: the curve is not reduced")
-    x, y, z = variables(3)
-    for a in range(2 * tau + 1):
-        g = f.evaluate([x, y, z + a * x + a * a * y]) if a else f
-        count = _chart_point_count(g, tau)
-        if count is not None:
-            return count
-    raise SelfCheckError("every shear a = 0..2*tau leaves a singular point at infinity")
+    at_infinity = _points_at_infinity(f)
+    count = _chart_point_count(f, tau, at_infinity) + at_infinity
+    if count > tau:
+        raise SelfCheckError("more distinct singular points than the Tjurina number")
+    return count
 
 
 def is_nodal(f: MPoly) -> bool:

@@ -1,14 +1,11 @@
 """Exact sparse linear algebra over Q and the cyclotomic fields.
 
-There are two elimination loops.  ``_rank_exact`` is fraction-free over Q:
-rational rows are scaled to primitive integers, each update is a two-term
-cross-multiplication followed by content removal, and pivots are chosen by
-a Markowitz-style fill-in estimate.  ``Echelon`` is incremental: pivot rows
-are normalized to lead 1 and keyed by their leading column, over F_p for
-the certificates below and over the entries' field for everything else
-(rows with AlgNum entries, whose exact rank ``_rank_exact`` hands to it,
-and ``solve_unique``).  ``primitive`` and ``strip_content`` are the content
-helpers of the fraction-free loop and of the Groebner-basis reductions.
+There is one elimination loop, ``Echelon``, and it is incremental: pivot
+rows are normalized to lead 1 and keyed by their leading column, over F_p
+for the certificates below and over the entries' field (Q or
+Q(2*cos(pi/d))) for every exact rank (``_rank_exact``) and for
+``solve_unique``.  ``primitive`` and ``strip_content`` are the content
+helpers of the Groebner-basis reductions.
 
 Rank is certified before it is computed.  Reducing the entries modulo one
 prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
@@ -73,14 +70,6 @@ def _to_rows(matrix: Iterable) -> list[Row]:
     return [_to_row(row) for row in matrix]
 
 
-def _is_rational(rows: list[Row]) -> bool:
-    for row in rows:
-        for v in row.values():
-            if isinstance(v, AlgNum):
-                return False
-    return True
-
-
 def strip_content(*rows: dict) -> int:
     """Divide integer rows in place by the gcd of all their entries.
 
@@ -112,77 +101,17 @@ def primitive(row: dict) -> dict:
     return out
 
 
-def _pick_pivot(rows: list[tuple[int, Row]], col_count: dict[int, int]) -> tuple[int, int]:
-    """Return (list index, column) minimizing fill-in, deterministically.
-
-    ``col_count[c]`` is the number of rows in ``rows`` with an entry in c.
-    The score of an entry is ((len(row) - 1) * (count - 1), len(row),
-    count, original row index, column); within one row it grows with
-    (count, column), so each row's best entry is found first.
-    """
-    best = None
-    for li, (orig, row) in enumerate(rows):
-        count, c = min(zip(map(col_count.__getitem__, row), row))
-        score = ((len(row) - 1) * (count - 1), len(row), count, orig, c)
-        if best is None or score < best[0]:
-            best = (score, li, c)
-    return best[1], best[2]
-
-
-def _count_columns(row: Row, col_count: dict[int, int], step: int) -> None:
-    for c in row:
-        col_count[c] = col_count.get(c, 0) + step
-
-
 def _rank_exact(rows: list[Row]) -> int:
-    """Rank of non-empty rows by exact elimination: fraction-free over Q, and
-    by an ``Echelon`` over the entries' field when any entry is an AlgNum."""
-    if not _is_rational(rows):
-        echelon = Echelon()
-        for row in rows:
-            echelon.insert(row)
-        return len(echelon.pivots)
-    rows = [primitive(r) for r in rows]
-    active = list(enumerate(rows))
-    col_count: dict[int, int] = {}
+    """Rank of non-empty rows by an ``Echelon`` over the entries' field."""
+    echelon = Echelon()
     for row in rows:
-        _count_columns(row, col_count, 1)
-    rk = 0
-    while active:
-        li, c = _pick_pivot(active, col_count)
-        _, pivot = active.pop(li)
-        _count_columns(pivot, col_count, -1)
-        pv = pivot[c]
-        rk += 1
-        updated: list[tuple[int, Row]] = []
-        for orig, row in active:
-            rv = row.get(c)
-            if rv:
-                _count_columns(row, col_count, -1)
-                d = gcd(pv, rv)
-                a = pv // d
-                b = rv // d
-                new: Row = {}
-                for cc, v in row.items():
-                    new[cc] = a * v
-                for cc, v in pivot.items():
-                    nv = new.get(cc, 0) - b * v
-                    if nv:
-                        new[cc] = nv
-                    else:
-                        new.pop(cc, None)
-                strip_content(new)
-                row = new
-                if not row:
-                    continue
-                _count_columns(row, col_count, 1)
-            updated.append((orig, row))
-        active = updated
-    return rk
+        echelon.insert(row)
+    return len(echelon.pivots)
 
 
 def _is_prime(n: int) -> bool:
-    # Miller-Rabin with bases 2, 3, 5, 7 is deterministic below 3215031751
+    # Miller-Rabin with bases 2, 3, 5, 7 is deterministic below 3215031751;
+    # that is enough only because every modulus here is below 2**31
     if n < 2:
         return False
     for q in (2, 3, 5, 7):

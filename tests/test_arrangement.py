@@ -8,6 +8,7 @@ import pytest
 
 from chebcurve import arrangement, upoly
 from chebcurve.arrangement import (
+    _points_at_infinity,
     count_distinct_singular_points,
     is_nodal,
     is_reduced,
@@ -116,6 +117,9 @@ class TestSingularPointCount:
             parse("y^2*z - x^3 - x^2*z"),
             parse("x + y + z") * parse("x^3 + y^3 + z^3"),
             parse("z*y^2 - x^3"),
+            parse("x*y*z") * parse("x + y - z"),
+            curve_polynomial(6) * parse("z"),
+            curve_polynomial(8) * parse("x*z"),
         ],
     )
     def test_independent_trials_agree(self, f):
@@ -151,52 +155,50 @@ class TestSingularPointCount:
         with pytest.raises(SelfCheckError):
             count_distinct_singular_points(curve_polynomial(4))
 
-    def _recorded_charts(self, monkeypatch):
+    def test_t12_times_line_in_the_identity_chart(self, monkeypatch):
         chart = arrangement._chart_point_count
         counts = []
 
-        def recorded(g, tau):
-            counts.append(chart(g, tau))
+        def recorded(*args):
+            counts.append(chart(*args))
             return counts[-1]
 
         monkeypatch.setattr(arrangement, "_chart_point_count", recorded)
-        return counts
-
-    def test_points_at_infinity_reject_the_trial(self, monkeypatch):
-        # of the singular points (1:0:0), (0:1:0), (0:0:1) of x*y*z, two lie
-        # on z = 0, and none on the line at infinity of the shear a = 1
-        counts = self._recorded_charts(monkeypatch)
-        assert count_distinct_singular_points(parse("x*y*z")) == 3
-        assert counts == [None, 3]
-
-    def test_second_shear_when_the_first_fails(self, monkeypatch):
-        # (0:1:0), (1:0:0) and (1:-1:0) lie on z = 0, and (0:1:1) lies on
-        # y + x - z = 0, the line at infinity of the shear a = 1
-        counts = self._recorded_charts(monkeypatch)
-        assert count_distinct_singular_points(parse("x*y*z") * parse("x + y - z")) == 6
-        assert counts == [None, None, 6]
-
-    def test_t12_times_line_in_the_identity_chart(self, monkeypatch):
-        counts = self._recorded_charts(monkeypatch)
         f = curve_polynomial(12) * parse("x")
         assert arrangement.milnor_profile(f).tau == 78
         assert count_distinct_singular_points(f) == 60
         assert counts == [60]
 
-    def test_no_accepted_shear_fails_self_check(self, monkeypatch):
-        # some shear a <= 2*tau holds every point, so rejecting all of them
-        # (tau = 3 for x*y*z) is an internal fault
-        calls = []
-        monkeypatch.setattr(arrangement, "_chart_point_count", lambda g, tau: calls.append(g))
-        with pytest.raises(SelfCheckError):
+    def _with_points_at_infinity(self, monkeypatch, count):
+        monkeypatch.setattr(arrangement, "_points_at_infinity", lambda f: count)
+
+    def test_point_at_infinity_with_the_whole_tau_in_the_chart_fails_self_check(
+        self, monkeypatch
+    ):
+        # the four nodes of T4 lie in the chart z = 1 and hold all of tau
+        self._with_points_at_infinity(monkeypatch, 1)
+        with pytest.raises(SelfCheckError, match="yet a singular point lies at infinity"):
+            count_distinct_singular_points(curve_polynomial(4))
+
+    def test_chart_short_of_tau_without_points_at_infinity_fails_self_check(self, monkeypatch):
+        # (1:0:0) and (0:1:0) of x*y*z lie on z = 0
+        self._with_points_at_infinity(monkeypatch, 0)
+        with pytest.raises(SelfCheckError, match="yet no singular point lies at infinity"):
             count_distinct_singular_points(parse("x*y*z"))
-        assert len(calls) == 7
+
+    def test_count_above_tau_fails_self_check(self, monkeypatch):
+        # the chart of x*y*z holds one of its tau = 3 points, so three more
+        # at infinity make four
+        self._with_points_at_infinity(monkeypatch, 3)
+        with pytest.raises(SelfCheckError, match="more distinct singular points"):
+            count_distinct_singular_points(parse("x*y*z"))
 
     def test_non_reduced_raises_before_any_trial(self, monkeypatch):
         from chebcurve.arrangement import SingularLocusError
 
         calls = []
-        monkeypatch.setattr(arrangement, "_chart_point_count", lambda g, tau: calls.append(g))
+        monkeypatch.setattr(arrangement, "_chart_point_count", lambda *args: calls.append(args))
+        monkeypatch.setattr(arrangement, "_points_at_infinity", lambda f: calls.append(f))
         with pytest.raises(SingularLocusError):
             count_distinct_singular_points(parse("x^2*y"))
         assert calls == []
@@ -223,6 +225,60 @@ def _seeded_products(seed, degrees):
     return out
 
 
+class TestPointsAtInfinity:
+    """The singular points on z = 0 are the common zeros there of the
+    three partials, counted by one univariate gcd."""
+
+    def test_axes(self):
+        # (1:0:0) and (0:1:0)
+        assert _points_at_infinity(parse("x*y*z")) == 2
+
+    def test_axes_and_a_line(self):
+        # (1:0:0), (0:1:0) and (1:-1:0); (0:1:1) and the others lie in the chart
+        assert _points_at_infinity(parse("x*y*z") * parse("x + y - z")) == 3
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_chebyshev_curves_have_none(self, d):
+        assert _points_at_infinity(curve_polynomial(d)) == 0
+
+    def test_t10_times_the_line_at_infinity(self):
+        # z = 0 meets T10 in ten distinct points
+        assert _points_at_infinity(curve_polynomial(10) * parse("z")) == 10
+
+    def test_tangent_at_a_flex(self):
+        # x + y = 0 meets the Fermat cubic only at (1:-1:0)
+        assert _points_at_infinity(parse("x + y") * parse("x^3 + y^3 + z^3")) == 1
+
+    def test_singular_line_at_infinity_fails_self_check(self):
+        # every partial of x*z^2 vanishes on z = 0
+        with pytest.raises(SelfCheckError, match="line z = 0 is singular"):
+            _points_at_infinity(parse("x*z^2"))
+
+    def test_agrees_with_sympy_roots(self):
+        # the distinct projective roots of the gcd of the restricted
+        # partials, found by sympy's factorization of the binary forms
+        sympy = pytest.importorskip("sympy")
+        x, y, z = sympy.symbols("x y z")
+        corpus = _seeded_products(11, (3, 4, 4, 5, 5, 6)) + [
+            parse("x*y*z") * parse("x + y - z"),
+            curve_polynomial(6) * parse("z"),
+        ]
+        for f in corpus:
+            g = sympy.Poly.from_dict({m: int(c) for m, c in f.terms.items()}, x, y, z).as_expr()
+            forms = [sympy.diff(g, v).subs(z, 0) for v in (x, y, z)]
+            h = sympy.Integer(0)
+            for form in forms:
+                h = sympy.gcd(h, form)
+            assert h != 0
+            # the distinct irreducible factors of a binary form over C are
+            # its distinct roots: one per linear factor over Q-bar
+            roots = sum(
+                sympy.Poly(factor, x, y).total_degree()
+                for factor, _ in sympy.factor_list(h, x, y)[1]
+            )
+            assert _points_at_infinity(f) == roots, f
+
+
 class TestHessianCertificate:
     """A singular point is a node exactly when the Hessian of the chart
     polynomial is nonzero there, so a unit Hessian proves tau nodes; any
@@ -233,7 +289,8 @@ class TestHessianCertificate:
         + _seeded_products(7, (4, 4, 5, 5))
         + [
             parse("x + y + z") * parse("x^3 + y^3 + z^3"),
-            parse("x + y") * parse("x^3 + y^3 + z^3"),  # tangent at a flex
+            # tangent at a flex, at (1:0:-1) in the chart z = 1
+            parse("x + z") * parse("x^3 + y^3 + z^3"),
         ]
     )
 
@@ -265,7 +322,10 @@ class TestHessianCertificate:
         rep = rationality_test(curve_polynomial(10))
         assert rep.verdict == "all_rational"
         assert rep.distinct_singular_points == 40
-        assert calls == []
+        # only the restrictions to z = 0 of the degree-9 partials, and the
+        # square-free test of their gcd
+        assert 0 < len(calls) <= 4
+        assert all(upoly.degree(p) <= 9 for call in calls for p in call)
 
     def test_t8_times_line_is_not_nodal(self):
         # the line x = 0 passes through nodes of T8, making them triple points
