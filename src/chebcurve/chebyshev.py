@@ -80,34 +80,28 @@ def _linear_factor(field: FieldSpec, y_sign: int) -> MPoly:
 def factor_curve(d: int, sign: str) -> tuple[Fraction, tuple[MPoly, ...]]:
     """Split T_d(x) +- T_d(y) into 2^(d-1) times linear and conic factors.
 
-    The factor product times the constant reproduces the curve polynomial
-    identically over the cyclotomic field.
+    With s = +1 for "plus" and -1 for "minus", T_d(-t*y) = (-t)^d T_d(y),
+    so the line x + t*y divides the curve exactly when s*(-t)^d = -1; the
+    lines come first, t = s before t = -s.  Then, for each 0 < j < d with
+    j = d + 1 (mod 2) for "plus" and j even for "minus", the conic
+    x^2 + 2*s*c*x*y + y^2 - (1 - c^2) with c = cos(j*pi/d).  The factor
+    product times the constant reproduces the curve polynomial identically
+    over the cyclotomic field.
     """
     if d < 3:
         raise ValueError("require d >= 3")
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
     field = real_cyclotomic_field(d)
-    constant = Fraction(2) ** (d - 1)
-    factors: list[MPoly] = []
-    if sign == "minus":
-        factors.append(_linear_factor(field, -1))
-        if d % 2 == 0:
-            factors.append(_linear_factor(field, +1))
-            for k in range(1, d // 2):
-                factors.append(_quadratic_factor(field, critical_point(field, 2 * k), -1))
-        else:
-            for k in range(1, (d - 1) // 2 + 1):
-                factors.append(_quadratic_factor(field, critical_point(field, 2 * k), -1))
-    else:
-        if d % 2 == 0:
-            for k in range(1, d // 2 + 1):
-                factors.append(_quadratic_factor(field, critical_point(field, 2 * k - 1), +1))
-        else:
-            factors.append(_linear_factor(field, +1))
-            for k in range(1, (d - 1) // 2 + 1):
-                factors.append(_quadratic_factor(field, critical_point(field, 2 * k), +1))
-    return constant, tuple(factors)
+    s = 1 if sign == "plus" else -1
+    lines = [_linear_factor(field, t) for t in (s, -s) if s * (-t) ** d == -1]
+    parity = (d + 1) * (s == 1) % 2
+    conics = [
+        _quadratic_factor(field, critical_point(field, j), s)
+        for j in range(1, d)
+        if j % 2 == parity
+    ]
+    return Fraction(2) ** (d - 1), tuple(lines + conics)
 
 
 def minus_conics(d: int) -> tuple[MPoly, ...]:

@@ -22,11 +22,11 @@ boundary: the basis elements, ``normal_form`` and ``leading_ideal`` speak
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd
 
 from .linalg import primitive, strip_content
@@ -194,41 +194,26 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
         if g is not None:
             basis.append(g)
 
+    # every pair enters the heap once and leaves pending when it is popped
     pending: set[tuple[int, int]] = set()
     heap: list = []
-    queue: deque = deque()
+    created = count()
 
     def push_pair(i: int, j: int):
-        lcm = mono_lcm(basis[i].exps, basis[j].exps)
         pending.add((i, j))
         if strategy == "normal":
-            heappush(heap, (grevlex_key(lcm), i, j))
+            key = grevlex_key(mono_lcm(basis[i].exps, basis[j].exps))
         else:
-            queue.append((i, j))
+            key = next(created)
+        heappush(heap, (key, i, j))
 
     for j in range(len(basis)):
         for i in range(j):
             push_pair(i, j)
 
-    def pop_pair():
-        while True:
-            if strategy == "normal":
-                if not heap:
-                    return None
-                _, i, j = heappop(heap)
-            else:
-                if not queue:
-                    return None
-                i, j = queue.popleft()
-            if (i, j) in pending:
-                pending.discard((i, j))
-                return i, j
-
-    while True:
-        pair = pop_pair()
-        if pair is None:
-            break
-        i, j = pair
+    while heap:
+        _, i, j = heappop(heap)
+        pending.remove((i, j))
         gi, gj = basis[i], basis[j]
         lcm = mono_lcm(gi.exps, gj.exps)
         # product criterion: coprime leading monomials reduce to zero

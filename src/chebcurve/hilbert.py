@@ -8,6 +8,9 @@ component, so (1-t)^2 does not divide P(t) and the Tjurina number is
 infinite; it is reported as absent.  Numerators are integer polynomials
 (ascending coefficient tuples) built with ``upoly``'s arithmetic, which
 keeps them integral.
+
+For the Chebyshev curve the paper's free resolution is stated once, in
+``chebyshev_resolution``; the closed-form numerator is read from it.
 """
 
 from __future__ import annotations
@@ -173,40 +176,40 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
     )
 
 
-def chebyshev_milnor_numerator(d: int) -> IntPoly:
-    """Closed-form Hilbert numerator for the Milnor algebra of the degree-d
-    Chebyshev curve; agrees with the computed numerator coefficientwise."""
+def chebyshev_resolution(d: int) -> tuple[dict[int, int], ...]:
+    """Graded Betti numbers of the minimal free resolution
+    0 <- M(f) <- F0 <- F1 <- F2 <- F3 <- 0 of the Milnor algebra of the
+    degree-d Chebyshev curve.  F_i is given as a map shift -> rank: it is
+    the sum of S(-shift)^rank over the map's items.
+
+    F1 holds the three partials.  A syzygy whose components have degree r
+    sits at shift r + d - 1: F2 holds the (d-1)//2 relations with r = d-2
+    and the Koszul trio, F3 the relations among them, one with r = d-1 when
+    d is odd and d//2 with r = d.
+    """
     if d < 2:
         raise ValueError("require d >= 2")
-    out: dict[int, int] = {}
+    return (
+        {0: 1},
+        {d - 1: 3},
+        {2 * d - 3: (d - 1) // 2, 2 * d - 2: 3},
+        {2 * d - 2: d % 2, 2 * d - 1: d // 2},
+    )
 
-    def bump(e: int, c: int):
-        out[e] = out.get(e, 0) + c
 
-    if d % 2 == 0:
-        m = d // 2
-        bump(0, 1)
-        bump(2 * m - 1, -3)
-        bump(4 * m - 3, m - 1)
-        bump(4 * m - 2, 3)
-        bump(4 * m - 1, -m)
-    else:
-        m = (d - 1) // 2
-        bump(0, 1)
-        bump(2 * m, -3)
-        bump(4 * m - 1, m)
-        bump(4 * m, 2)
-        bump(4 * m + 1, -m)
-    top = max(out)
-    return upoly.trim([out.get(i, 0) for i in range(top + 1)])
+def chebyshev_milnor_numerator(d: int) -> IntPoly:
+    """Closed-form Hilbert numerator for the Milnor algebra of the degree-d
+    Chebyshev curve: the alternating sum of its resolution's Betti numbers.
+    It agrees with the computed numerator coefficientwise."""
+    out = [0] * (2 * d)
+    for i, shifts in enumerate(chebyshev_resolution(d)):
+        for shift, rank in shifts.items():
+            out[shift] += (-1) ** i * rank
+    return upoly.trim(out)
 
 
 def expected_node_count(d: int) -> int:
-    """Node count of the degree-d Chebyshev curve: 2m(m-1) or 2m^2 by parity."""
+    """Node count of the degree-d Chebyshev curve: (d-1)^2 // 2."""
     if d < 2:
         raise ValueError("require d >= 2")
-    if d % 2 == 0:
-        m = d // 2
-        return 2 * m * (m - 1)
-    m = (d - 1) // 2
-    return 2 * m * m
+    return (d - 1) ** 2 // 2

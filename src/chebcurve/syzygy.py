@@ -37,7 +37,7 @@ from typing import Sequence
 
 from . import linalg
 from .chebyshev import curve_affine, curve_polynomial, minus_conics
-from .hilbert import milnor_profile, series_dims
+from .hilbert import chebyshev_resolution, milnor_profile, series_dims
 from .numberfield import SelfCheckError
 from .polyring import (
     InexactDivisionError,
@@ -240,13 +240,10 @@ def relation_module_kernel_dim(d: int, r: int) -> tuple[int, int]:
 
 
 def expected_relation_kernel_dim(d: int, r: int) -> int:
-    """Kernel dimension of the assembled relation map predicted by the
-    resolution shape: m copies in degree d plus, for odd d, one in d-1."""
-    if d % 2 == 0:
-        m = d // 2
-        return m * _dim_homog(r - d)
-    m = (d - 1) // 2
-    return m * _dim_homog(r - d) + _dim_homog(r - d + 1)
+    """Kernel dimension of the assembled relation map in component degree
+    r, read from F3 of ``chebyshev_resolution``: each generator at shift
+    e contributes the forms of degree r + d - 1 - e."""
+    return sum(rank * _dim_homog(r + d - 1 - e) for e, rank in chebyshev_resolution(d)[3].items())
 
 
 @dataclass(frozen=True)
@@ -272,12 +269,10 @@ class ResolutionReport:
 
     @property
     def ok(self) -> bool:
-        m = self.d // 2 if self.d % 2 == 0 else (self.d - 1) // 2
-        expected_count = m - 1 if self.d % 2 == 0 else m
         return (
             all(c.ok for c in self.syzygy_checks)
             and self.first_syzygy_degree == self.d - 2
-            and self.first_syzygy_count == expected_count
+            and self.first_syzygy_count == chebyshev_resolution(self.d)[2][2 * self.d - 3]
             and all(c.ok for c in self.rank_checks)
             and all(c.ok for c in self.kernel_checks)
         )

@@ -97,7 +97,7 @@ class TestFactorizations:
         degrees = sorted(f.degree() for f in factors)
         assert degrees == [1, 2, 2]
 
-    @pytest.mark.parametrize("d", range(3, 11))
+    @pytest.mark.parametrize("d", range(3, 31))
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     def test_product_identity(self, d, sign):
         data = build(d)

@@ -167,10 +167,11 @@ class TestMilnorProfile:
         info = milnor_profile.cache_info()
         assert (info.misses, info.hits) == (1, 10)
 
-    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("d", range(3, 31))
     def test_oracle_equivalence(self, d):
         prof = milnor_profile(curve_polynomial(d))
         assert prof.hilbert.numerator == chebyshev_milnor_numerator(d)
+        assert prof.tau == expected_node_count(d)
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_numerator_degree_and_double_root_at_one(self, d):
