@@ -42,15 +42,11 @@ def curve_affine(d: int, sign: str) -> MPoly:
     """T_d(x) + T_d(y) for sign "plus", T_d(x) - T_d(y) for sign "minus"."""
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    T = chebyshev_T(d)
     s = 1 if sign == "plus" else -1
-    terms: dict[tuple[int, int], Fraction] = {}
-    for j, c in enumerate(T):
-        if not c:
-            continue
-        terms[(j, 0)] = terms.get((j, 0), Fraction(0)) + c
-        terms[(0, j)] = terms.get((0, j), Fraction(0)) + s * c
-    return MPoly(2, terms)
+    items = []
+    for j, c in enumerate(chebyshev_T(d)):
+        items += [((j, 0), c), ((0, j), s * c)]
+    return MPoly(2, items)
 
 
 @lru_cache(maxsize=None)

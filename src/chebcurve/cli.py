@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure (a failed verify item or
 a failed internal self-check), 2 input error (including an unreadable
-input file or an unwritable --out path), 3 precondition violation
-(including an input of degree above 30, the range of gen -d, and --kmax
-above 4d or --rmax above 3d for an input of degree d).
+input file, an unwritable --out path and a -d outside its range: 3..30
+for gen, 3..10 for verify and interp), 3 precondition violation
+(including an input of degree above 30, and --kmax above 4d or --rmax
+above 3d for an input of degree d).
 Reports are canonical: keys sorted, integers exact, rationals as "p/q"
 strings, field elements as coefficient arrays with their minimal
 polynomial; timings live under the volatile key so the rest of the payload
@@ -22,16 +23,10 @@ from fractions import Fraction
 from . import upoly
 from .arrangement import rationality_test
 from .chebyshev import build, curve_polynomial, verify_nodes
-from .groebner import buchberger, leading_ideal
-from .hilbert import (
-    chebyshev_milnor_numerator,
-    expected_node_count,
-    hilbert_numerator,
-    milnor_profile,
-)
+from .hilbert import chebyshev_milnor_numerator, expected_node_count, milnor_profile
 from .interp import evaluation_kernel_dim, evaluation_thresholds, node_evaluation_surjective
 from .numberfield import AlgNum, SelfCheckError
-from .polyring import MPoly, ParseError, parse, partials, to_string
+from .polyring import MPoly, ParseError, parse, to_string
 from .syzygy import koszul_relations, syzygy_dim, syzygy_dim_from_hilbert, verify_resolution
 
 EXIT_OK = 0
@@ -40,7 +35,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 
 GROEBNER_MAX_D = 8
-FACTOR_MAX_D = 10
+VERIFY_MAX_D = 10
 SURJECTIVITY_MAX_D = 6
 # largest degree of gen -d and of the hilbert, syzygy and rational-test input
 MAX_INPUT_DEGREE = 30
@@ -110,12 +105,11 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _report(command: str, inputs: dict, results: dict, seed=None, timings=None) -> dict:
+def _report(command: str, inputs: dict, results: dict, timings=None) -> dict:
     return {
         "command": command,
         "inputs": _encode(inputs),
         "results": _encode(results),
-        "seed": seed,
         "volatile": {"timings_ms": timings or {}},
     }
 
@@ -256,14 +250,11 @@ def cmd_rational_test(args) -> int:
         "genus_sum": rep.genus_sum,
     }
     timings = {"total": round((time.perf_counter() - t0) * 1000.0, 3)}
-    _emit(
-        _report("rational-test", {"file": args.file}, results, seed=args.seed, timings=timings),
-        args,
-    )
+    _emit(_report("rational-test", {"file": args.file}, results, timings=timings), args)
     return EXIT_OK
 
 
-def _verify_items(d: int, strategy: str, timings: dict) -> list[dict]:
+def _verify_items(d: int, timings: dict) -> list[dict]:
     items = []
     clock = time.perf_counter()
 
@@ -307,15 +298,14 @@ def _verify_items(d: int, strategy: str, timings: dict) -> list[dict]:
 
     if d <= GROEBNER_MAX_D:
         f = curve_polynomial(d)
-        gb = buchberger(partials(f), strategy=strategy)
-        numerator = hilbert_numerator(leading_ideal(gb))
+        prof = milnor_profile(f)
+        numerator = prof.hilbert.numerator
         closed = chebyshev_milnor_numerator(d)
         item(
             "hilbert_numerator_matches_closed_form",
             numerator == closed,
             {"computed": list(numerator), "closed_form": list(closed)},
         )
-        prof = milnor_profile(f)
         window = prof.dims[2 * d - 3 :]
         item(
             "dims_stabilize_at_node_count",
@@ -340,14 +330,11 @@ def _verify_items(d: int, strategy: str, timings: dict) -> list[dict]:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
-    items = _verify_items(args.d, args.strategy, timings)
+    items = _verify_items(args.d, timings)
     all_pass = all(it["pass"] for it in items)
     results = {"d": args.d, "items": items, "all_pass": all_pass}
     timings["total"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    _emit(
-        _report("verify", {"d": args.d, "strategy": args.strategy}, results, timings=timings),
-        args,
-    )
+    _emit(_report("verify", {"d": args.d}, results, timings=timings), args)
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
@@ -398,19 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_syzygy)
 
     p = sub.add_parser("interp", help="node-grid evaluation thresholds")
-    p.add_argument("-d", type=_int_arg(3, GROEBNER_MAX_D), required=True)
+    p.add_argument("-d", type=_int_arg(3, VERIFY_MAX_D), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_interp)
 
     p = sub.add_parser("rational-test", help="rational-arrangement certificate for a curve file")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_rational_test)
 
     p = sub.add_parser("verify", help="run the full verification bundle for degree d")
-    p.add_argument("-d", type=_int_arg(3, FACTOR_MAX_D), required=True)
-    p.add_argument("--strategy", choices=("normal", "fifo"), default="normal")
+    p.add_argument("-d", type=_int_arg(3, VERIFY_MAX_D), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -4,8 +4,8 @@ Internally polynomials are primitive integer term-dicts (content removed
 after every reduction), which keeps the Jacobian-ideal coefficient swell of
 high-degree Chebyshev curves under control.  There is one reduction loop,
 ``_normal_form_int``; ``normal_form`` is its rational view.  The returned
-reduced basis is monic over Q and canonical, so it is independent of the
-pair-selection strategy.
+reduced basis is monic over Q and canonical: it depends on the ideal, not
+on the order in which S-pairs are reduced.
 
 Inside the loop a monomial is one int, the negated ``grevlex_pack``: a
 monomial product is an int sum, and the smallest key is the grevlex-largest
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import count
 from math import gcd
 
 from .linalg import primitive, strip_content
@@ -171,16 +170,13 @@ def _s_poly(gi: _GPoly, gj: _GPoly, lcm: Monomial) -> dict[int, int]:
     return out
 
 
-def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
+def buchberger(generators) -> GroebnerBasis:
     """Reduced grevlex Groebner basis of the ideal the forms generate.
 
     Zero forms are dropped; ValueError when none is left or when the
-    variable counts differ.  strategy selects the S-pair order: "normal"
-    processes pairs by increasing lcm in grevlex, so degree first, "fifo"
-    in creation order.  Both must and do return the same basis.
+    variable counts differ.  S-pairs are reduced by increasing lcm in
+    grevlex, so degree first.
     """
-    if strategy not in ("normal", "fifo"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     generators = tuple(generators)
     if len({p.nvars for p in generators}) > 1:
         raise ValueError("generators must share a variable count")
@@ -197,15 +193,10 @@ def buchberger(generators, strategy: str = "normal") -> GroebnerBasis:
     # every pair enters the heap once and leaves pending when it is popped
     pending: set[tuple[int, int]] = set()
     heap: list = []
-    created = count()
 
     def push_pair(i: int, j: int):
         pending.add((i, j))
-        if strategy == "normal":
-            key = grevlex_key(mono_lcm(basis[i].exps, basis[j].exps))
-        else:
-            key = next(created)
-        heappush(heap, (key, i, j))
+        heappush(heap, (grevlex_key(mono_lcm(basis[i].exps, basis[j].exps)), i, j))
 
     for j in range(len(basis)):
         for i in range(j):

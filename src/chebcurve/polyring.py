@@ -330,7 +330,7 @@ def parse(text: str, nvars: int = 3) -> MPoly:
                 raise ParseError("exponent overflow", pos + 1)
         return var, e
 
-    terms: dict[Monomial, Fraction] = {}
+    terms: list[tuple[Monomial, Fraction]] = []
     first = True
     skip_ws()
     if i >= n:
@@ -371,16 +371,6 @@ def parse(text: str, nvars: int = 3) -> MPoly:
                     raise ParseError("unexpected end of input", i + 1)
                 var, e = read_varpow()
                 exps[var] += e
-            else:
-                # constant term
-                mono = tuple(exps)
-                acc = terms.get(mono, Fraction(0)) + sign * coeff
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-                first = False
-                continue
         else:
             var, e = read_varpow()
             exps[var] += e
@@ -397,12 +387,7 @@ def parse(text: str, nvars: int = 3) -> MPoly:
                 break
         if any(e > MAX_EXPONENT for e in exps):
             raise ParseError("exponent overflow", i)
-        mono = tuple(exps)
-        acc = terms.get(mono, Fraction(0)) + sign * coeff
-        if acc:
-            terms[mono] = acc
-        else:
-            terms.pop(mono, None)
+        terms.append((tuple(exps), sign * coeff))
         first = False
     return MPoly(nvars, terms)
 
@@ -461,15 +446,7 @@ def dehomogenize(p: MPoly) -> MPoly:
     """Substitute z = 1, returning a polynomial in x, y."""
     if p.nvars != 3:
         raise ValueError("dehomogenize expects a polynomial in x, y, z")
-    out: dict[Monomial, object] = {}
-    for (a, b, _), c in p.terms.items():
-        prev = out.get((a, b))
-        acc = c if prev is None else prev + c
-        if acc:
-            out[(a, b)] = acc
-        else:
-            out.pop((a, b), None)
-    return MPoly(2, out)
+    return MPoly(2, [((a, b), c) for (a, b, _), c in p.terms.items()])
 
 
 def partials(f: MPoly) -> tuple[MPoly, ...]:

@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -207,12 +208,26 @@ class TestInterp:
         assert rep["results"]["max_injective_degree"] == 1
         assert rep["results"]["min_surjective_degree"] == 2
 
+    @pytest.mark.parametrize("d", [9, 10])
+    def test_verify_range(self, capsys, d):
+        from chebcurve.interp import evaluation_kernel_dim
+
+        results = run_json(capsys, "interp", "-d", str(d))["results"]
+        assert (results["max_injective_degree"], results["min_surjective_degree"]) == (d - 3, d - 2)
+        assert results["kernel_dims"] == [
+            {"r": r, "kernel_dim": evaluation_kernel_dim(d, r)} for r in range(d + 1)
+        ]
+
+    def test_out_of_range_degree(self, capsys):
+        rc, out, _ = run(capsys, "interp", "-d", "11")
+        assert rc == 2 and out == ""
+
 
 class TestRationalTest:
     def test_chebyshev_input(self, capsys, quartic_file):
         rep = run_json(capsys, "rational-test", quartic_file)
         assert rep["results"]["verdict"] == "all_rational"
-        assert rep["seed"] == 0
+        assert "seed" not in rep
 
     def test_not_reduced(self, capsys, tmp_path):
         path = tmp_path / "nr.poly"
@@ -228,9 +243,9 @@ class TestRationalTest:
         assert rep["results"]["genus_sum"] == 1
 
     def test_seed_flag(self, capsys, quartic_file):
-        rep = run_json(capsys, "rational-test", quartic_file, "--seed", "5")
-        assert rep["seed"] == 5
-        assert rep["results"]["verdict"] == "all_rational"
+        # the certificate draws nothing at random, so there is no seed to set
+        rc, out, _ = run(capsys, "rational-test", quartic_file, "--seed", "5")
+        assert rc == 2 and out == ""
 
     def test_chebyshev_sextic_file(self, capsys, tmp_path):
         from chebcurve.chebyshev import curve_polynomial
@@ -361,17 +376,40 @@ class TestVerify:
         rc, _, _ = run(capsys, "verify", "-d", "11")
         assert rc == 2
 
+    def test_strategy_flag(self, capsys):
+        # the reduced basis has one S-pair order, so there is none to pick
+        rc, out, _ = run(capsys, "verify", "-d", "5", "--strategy", "fifo")
+        assert rc == 2 and out == ""
+
+    def test_one_groebner_basis(self, capsys, monkeypatch):
+        # every Hilbert item reads the one Milnor profile of the curve
+        from chebcurve import groebner, hilbert
+
+        calls = []
+        real = groebner.buchberger
+
+        def counted(gens):
+            calls.append(1)
+            return real(gens)
+
+        # each module that imported buchberger holds its own name for it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("chebcurve") and hasattr(module, "buchberger"):
+                monkeypatch.setattr(module, "buchberger", counted)
+        hilbert.milnor_profile.cache_clear()
+        rep = run_json(capsys, "verify", "-d", "5")
+        assert rep["results"]["all_pass"] is True
+        assert len(calls) == 1
+
 
 class TestDeterminism:
     def _canonical(self, capsys, *argv):
         rep = run_json(capsys, *argv)
         rep.pop("volatile")
-        rep["inputs"].pop("strategy", None)
         return json.dumps(rep, sort_keys=True)
 
     def test_verify_byte_identical(self, capsys):
         runs = [self._canonical(capsys, "verify", "-d", "5") for _ in range(3)]
-        runs.append(self._canonical(capsys, "verify", "-d", "5", "--strategy", "fifo"))
         assert len(set(runs)) == 1
 
     def test_gen_byte_identical(self, capsys):

@@ -25,8 +25,8 @@ from chebcurve.polyring import (
 )
 
 
-def gb_of(*texts, strategy="normal"):
-    return buchberger([parse(t) for t in texts], strategy=strategy)
+def gb_of(*texts):
+    return buchberger([parse(t) for t in texts])
 
 
 class TestBuchberger:
@@ -91,15 +91,17 @@ class TestBuchberger:
         with pytest.raises(ValueError, match="packed width"):
             buchberger([MPoly(3, {(1 << GREVLEX_WIDTH, 0, 0): 1})])
 
-    @pytest.mark.parametrize("strategy", ["normal", "fifo"])
-    def test_s_pair_past_the_packed_width_raises(self, strategy):
+    def test_s_pair_past_the_packed_width_raises(self):
         # each generator fits; the lcm x^40000*y^40000 of their leading terms does not
         gens = [parse("x^40000*y - z"), parse("x*y^40000 - z")]
         with pytest.raises(ValueError, match="packed width"):
-            buchberger(gens, strategy=strategy)
+            buchberger(gens)
 
 
 class TestDeterminism:
+    """Two strategies, this module's Buchberger and sympy's groebner, give
+    the one reduced basis of each ideal."""
+
     CASES = [
         ("x^2 - y*z", "x*y - z^2"),
         ("y*z", "x*z", "x*y"),
@@ -108,16 +110,15 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("texts", CASES)
     def test_strategies_agree(self, texts):
-        assert gb_of(*texts).elements == gb_of(*texts, strategy="fifo").elements
+        gens = [parse(t) for t in texts]
+        assert buchberger(gens).elements == _sympy_reduced_basis(gens, 3)
 
-    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("d", range(3, 11))
     def test_strategies_agree_on_jacobians(self, d):
         from chebcurve.chebyshev import curve_polynomial
 
         gens = partials(curve_polynomial(d))
-        a = buchberger(gens, strategy="normal")
-        b = buchberger(gens, strategy="fifo")
-        assert a.elements == b.elements
+        assert buchberger(gens).elements == _sympy_reduced_basis(gens, 3)
 
 
 class TestNormalForm:
@@ -225,7 +226,6 @@ class TestCriterionProperty:
                 assert normal_form(s_polynomial(f, g), gb).is_zero()
         for g in gens:
             assert normal_form(g, gb).is_zero()
-        assert gb.elements == buchberger(gens, strategy="fifo").elements
 
 
 class TestLeadingIdeal:
@@ -353,18 +353,16 @@ def chart_ideals(draw):
 
 
 class TestSympyReducedBasis:
-    @pytest.mark.parametrize("strategy", ["normal", "fifo"])
     @settings(max_examples=12, deadline=None)
     @given(ternary_forms())
-    def test_jacobians_of_ternary_forms(self, strategy, f):
+    def test_jacobians_of_ternary_forms(self, f):
         gens = partials(f)
         expected = _sympy_reduced_basis(gens, 3)
-        assert buchberger(gens, strategy=strategy).elements == expected
+        assert buchberger(gens).elements == expected
 
-    @pytest.mark.parametrize("strategy", ["normal", "fifo"])
     @settings(max_examples=12, deadline=None)
     @given(chart_ideals())
-    def test_two_variable_chart_ideals(self, strategy, gens):
+    def test_two_variable_chart_ideals(self, gens):
         assume(any(not p.is_zero() for p in gens))
         expected = _sympy_reduced_basis(gens, 2)
-        assert buchberger(gens, strategy=strategy).elements == expected
+        assert buchberger(gens).elements == expected
