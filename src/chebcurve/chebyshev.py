@@ -16,7 +16,7 @@ from . import upoly
 from .numberfield import (
     AlgNum, FieldSpec, SelfCheckError, cos_multiple, critical_point, real_cyclotomic_field
 )
-from .polyring import MPoly, homogenize, partials
+from .polyring import MPoly, homogenize
 from .upoly import Coeffs
 
 Point = tuple[AlgNum, AlgNum]
@@ -166,26 +166,30 @@ class NodeVerification:
 def verify_nodes(d: int) -> NodeVerification:
     """Check symbolically that every grid point of the curve is a node.
 
-    At each point: the curve and both partials vanish while the second
-    derivatives T_d''(a) and T_d''(b) are nonzero, so the Hessian
-    determinant of the affine curve does not vanish.
+    F = T_d(x) + T_d(y), so at (a, b) the curve takes T_d(a) + T_d(b), the
+    gradient is (T_d'(a), T_d'(b)) and the Hessian determinant is
+    T_d''(a) * T_d''(b).  These are read from T_d, T_d' and T_d'' evaluated
+    once at each critical point: the curve and both partials must vanish
+    and the Hessian must not.
     """
     data = build(d)
-    F = data.plus_curve
-    Fx, Fy = partials(F)
     T1 = upoly.derivative(data.chebyshev)
     T2 = upoly.derivative(T1)
+    values = {
+        t: tuple(upoly.evaluate(c, t) for c in (data.chebyshev, T1, T2))
+        for t in data.critical_points
+    }
     failures: list[tuple[str, str]] = []
     for a, b in data.plus_nodes:
         label = f"({a}, {b})"
-        if F.evaluate((a, b)) != 0:
+        (fa, ga, ha), (fb, gb, hb) = values[a], values[b]
+        if fa + fb != 0:
             failures.append((label, "curve does not vanish"))
-        if Fx.evaluate((a, b)) != 0 or upoly.evaluate(T1, a) != 0:
+        if ga != 0:
             failures.append((label, "x-gradient does not vanish"))
-        if Fy.evaluate((a, b)) != 0 or upoly.evaluate(T1, b) != 0:
+        if gb != 0:
             failures.append((label, "y-gradient does not vanish"))
-        hess = upoly.evaluate(T2, a) * upoly.evaluate(T2, b)
-        if not hess:
+        if not ha * hb:
             failures.append((label, "degenerate Hessian"))
     return NodeVerification(d=d, points_checked=len(data.plus_nodes), failures=tuple(failures))
 

@@ -6,6 +6,8 @@ input file, an unwritable --out path and a -d outside its range: 3..30
 for gen, 3..10 for verify and interp), 3 precondition violation
 (including an input of degree above 30, and --kmax above 4d or --rmax
 above 3d for an input of degree d).
+verify runs every item at each degree 3..10 except syzygy_resolution, the
+graded resolution, which it runs for degrees up to 8.
 Reports are canonical: keys sorted, integers exact, rationals as "p/q"
 strings, field elements as coefficient arrays with their minimal
 polynomial; timings live under the volatile key so the rest of the payload
@@ -34,9 +36,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_PRECONDITION = 3
 
-GROEBNER_MAX_D = 8
 VERIFY_MAX_D = 10
-SURJECTIVITY_MAX_D = 6
+# largest verify -d that runs syzygy_resolution
+RESOLUTION_MAX_D = 8
 # largest degree of gen -d and of the hilbert, syzygy and rational-test input
 MAX_INPUT_DEGREE = 30
 # largest --kmax and --rmax, as multiples of the input degree d
@@ -296,22 +298,21 @@ def _verify_items(d: int, timings: dict) -> list[dict]:
         {"got": list(thresholds), "expected": [d - 3, d - 2]},
     )
 
-    if d <= GROEBNER_MAX_D:
-        f = curve_polynomial(d)
-        prof = milnor_profile(f)
-        numerator = prof.hilbert.numerator
-        closed = chebyshev_milnor_numerator(d)
-        item(
-            "hilbert_numerator_matches_closed_form",
-            numerator == closed,
-            {"computed": list(numerator), "closed_form": list(closed)},
-        )
-        window = prof.dims[2 * d - 3 :]
-        item(
-            "dims_stabilize_at_node_count",
-            all(v == expected_node_count(d) for v in window),
-            {"window_start": 2 * d - 3, "dims": list(window)},
-        )
+    prof = milnor_profile(curve_polynomial(d))
+    numerator = prof.hilbert.numerator
+    closed = chebyshev_milnor_numerator(d)
+    item(
+        "hilbert_numerator_matches_closed_form",
+        numerator == closed,
+        {"computed": list(numerator), "closed_form": list(closed)},
+    )
+    window = prof.dims[2 * d - 3 :]
+    item(
+        "dims_stabilize_at_node_count",
+        all(v == expected_node_count(d) for v in window),
+        {"window_start": 2 * d - 3, "dims": list(window)},
+    )
+    if d <= RESOLUTION_MAX_D:
         res = verify_resolution(d)
         item(
             "syzygy_resolution",
@@ -322,8 +323,7 @@ def _verify_items(d: int, timings: dict) -> list[dict]:
                 "checked_degrees": len(res.syzygy_checks),
             },
         )
-        if d <= SURJECTIVITY_MAX_D:
-            item("node_evaluation_surjective", node_evaluation_surjective(d), {})
+    item("node_evaluation_surjective", node_evaluation_surjective(d), {})
     return items
 
 

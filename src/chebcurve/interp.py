@@ -1,63 +1,53 @@
-"""Evaluation matrices on the Chebyshev node grids and their exact ranks.
+"""Evaluation ranks on the Chebyshev node sets.
 
-The degree-r evaluation map sends a polynomial of degree at most r to its
-values on the companion-curve node grid; its rank thresholds certify the
-interpolation behaviour, and the kernel dimensions feed the syzygy
-cross-checks.
+``evaluation_ranks`` gives the rank of evaluating the polynomials of degree
+at most r in x, y at a set of points, for every r up to a top degree.  On
+the companion-curve grid its ranks give the interpolation thresholds and the
+kernel dimensions that feed the syzygy cross-checks; on the curve's nodes
+its rank at 2d-3 says whether forms of that degree take every value there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
 from .chebyshev import build
 from .hilbert import expected_node_count
-from .numberfield import AlgNum
-from .polyring import Monomial, monomial_basis
+from .polyring import monomial_basis
 
 
-@dataclass(frozen=True)
-class EvalMatrix:
-    points: tuple
-    degree: int
-    columns: tuple[Monomial, ...]
-    rows: tuple[tuple[AlgNum, ...], ...]
+def evaluation_ranks(points, top: int) -> tuple[int, ...]:
+    """Ranks of evaluating the polynomials of degree <= r at the points, r = 0..top.
+
+    The matrix is held by columns: one sparse row {point index: value} per
+    monomial x^a y^b, listed degree by degree, with x^a and y^b read from
+    per-point power lists that grow one degree at a time.  Once the rank
+    equals the number of points it stays there, since a higher degree only
+    adds columns, so no further column is built.
+    """
+    px = [[1] for _ in points]
+    py = [[1] for _ in points]
+    columns = []
+    ranks = []
+    for r in range(top + 1):
+        if r:
+            for (a, b), xs, ys in zip(points, px, py):
+                xs.append(xs[-1] * a)
+                ys.append(ys[-1] * b)
+        for e in range(r + 1):
+            columns.append({i: xs[e] * ys[r - e] for i, (xs, ys) in enumerate(zip(px, py))})
+        ranks.append(linalg.rank(columns))
+        if ranks[-1] == len(points):
+            break
+    return tuple(ranks) + (len(points),) * (top + 1 - len(ranks))
 
 
-def _evaluate_basis(points, monos) -> tuple[tuple, ...]:
-    tops = [max(m[i] for m in monos) for i in range(len(monos[0]))]
-    rows = []
-    for pt in points:
-        tables = []
-        for xi, top in zip(pt, tops):
-            table = [None, xi]
-            for _ in range(top - 1):
-                table.append(table[-1] * xi)
-            tables.append(table)
-        row = []
-        for m in monos:
-            v = None
-            for table, e in zip(tables, m):
-                if e:
-                    p = table[e]
-                    v = p if v is None else v * p
-            row.append(1 if v is None else v)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def grid_matrix(d: int, r: int) -> EvalMatrix:
-    """Evaluation of the 2-variable monomials of degree <= r on the companion grid."""
-    data = build(d)
-    monos = tuple(monomial_basis(r, nvars=2))
-    return EvalMatrix(
-        points=data.minus_nodes,
-        degree=r,
-        columns=monos,
-        rows=_evaluate_basis(data.minus_nodes, monos),
-    )
+def grid_matrix(d: int, r: int) -> list[list]:
+    """Rows of the degree-r grid evaluation: at each companion-grid point, the
+    monomials of degree <= r in x, y in ``monomial_basis`` order."""
+    monos = monomial_basis(r, nvars=2)
+    return [[a**i * b**j for i, j in monos] for a, b in build(d).minus_nodes]
 
 
 def evaluation_kernel_dim(d: int, r: int) -> int:
@@ -70,20 +60,10 @@ def evaluation_kernel_dim(d: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def grid_ranks(d: int) -> tuple[int, ...]:
-    """Ranks of the degree-r grid evaluation matrices for r = 0..d.
-
-    The degree-d matrix is built once; the degree-r matrix is its set of
-    columns of the monomials of degree at most r.
-    """
+    """Ranks of the degree-r grid evaluation matrices for r = 0..d."""
     if d < 3:
         raise ValueError("require d >= 3")
-    full = grid_matrix(d, d)
-    index = {m: j for j, m in enumerate(full.columns)}
-    ranks = []
-    for r in range(d + 1):
-        cols = [index[m] for m in monomial_basis(r, nvars=2)]
-        ranks.append(linalg.rank([[row[j] for j in cols] for row in full.rows]))
-    return tuple(ranks)
+    return evaluation_ranks(build(d).minus_nodes, d)
 
 
 def evaluation_thresholds(d: int) -> tuple[int, int]:
@@ -105,10 +85,9 @@ def evaluation_thresholds(d: int) -> tuple[int, int]:
 
 
 def node_evaluation_surjective(d: int) -> bool:
-    """Whether evaluating homogeneous polynomials of degree 2d-3 at the curve's
-    nodes (lifted to z = 1) hits every function on the node set."""
-    data = build(d)
-    points = tuple((a, b, data.field.one()) for a, b in data.plus_nodes)
-    monos = tuple(monomial_basis(2 * d - 3, nvars=3))
-    rows = _evaluate_basis(points, monos)
-    return linalg.rank(rows) == expected_node_count(d)
+    """Whether the forms of degree 2d-3 take every value on the curve's nodes.
+
+    The nodes lie in the chart z = 1, where those forms are exactly the
+    polynomials of degree <= 2d-3 in x, y.
+    """
+    return evaluation_ranks(build(d).plus_nodes, 2 * d - 3)[-1] == expected_node_count(d)

@@ -263,7 +263,6 @@ class ResolutionReport:
     syzygy_checks: tuple[DegreeCheck, ...]
     first_syzygy_degree: int
     first_syzygy_count: int
-    relations: tuple[tuple[MPoly, MPoly, MPoly], ...]
     rank_checks: tuple[DegreeCheck, ...]
     kernel_checks: tuple[DegreeCheck, ...]
 
@@ -312,7 +311,6 @@ def verify_resolution(d: int) -> ResolutionReport:
         syzygy_checks=tuple(syz_checks),
         first_syzygy_degree=first_degree if first_degree is not None else -1,
         first_syzygy_count=first_count,
-        relations=tuple(rel for rel, deg in relations if deg == d - 2),
         rank_checks=tuple(rank_checks),
         kernel_checks=tuple(kernel_checks),
     )

@@ -146,6 +146,21 @@ class TestNodeVerification:
         half = data.field.from_rational(Fraction(1, 2))
         assert data.plus_curve.evaluate((half, half)) == -2
 
+    def test_companion_grid_point_is_not_a_node(self, monkeypatch):
+        # at a companion-grid point T_d takes +-1 at both coordinates with
+        # the same sign, so the curve takes +-2 while the gradient vanishes
+        import dataclasses
+
+        import chebcurve.chebyshev as chebyshev
+
+        data = build(5)
+        extra = data.minus_nodes[0]
+        widened = dataclasses.replace(data, plus_nodes=data.plus_nodes + (extra,))
+        monkeypatch.setattr(chebyshev, "build", lambda d: widened)
+        report = verify_nodes(5)
+        assert report.points_checked == len(data.plus_nodes) + 1
+        assert report.failures == ((f"({extra[0]}, {extra[1]})", "curve does not vanish"),)
+
 
 class TestConicIntersections:
     @pytest.mark.parametrize("d,k,l", [(6, 1, 2), (8, 1, 3), (8, 2, 3), (7, 1, 2)])

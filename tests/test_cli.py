@@ -359,14 +359,17 @@ class TestVerify:
         assert item["detail"]["first_syzygy_degree"] == 3
         assert item["detail"]["first_syzygy_count"] == 2
 
-    def test_large_degree_runs_factor_checks_only(self, capsys):
+    def test_large_degree_skips_only_the_resolution(self, capsys):
         for d in ("9", "10"):
             rep = run_json(capsys, "verify", "-d", d)
             assert rep["results"]["all_pass"] is True
             names = {item["name"] for item in rep["results"]["items"]}
             assert "factorization_plus" in names
             assert "evaluation_thresholds" in names
-            assert "hilbert_numerator_matches_closed_form" not in names
+            assert "hilbert_numerator_matches_closed_form" in names
+            assert "dims_stabilize_at_node_count" in names
+            assert "node_evaluation_surjective" in names
+            assert "syzygy_resolution" not in names
 
     def test_smallest_degree(self, capsys):
         rep = run_json(capsys, "verify", "-d", "3")

@@ -2,7 +2,7 @@
 not move when the arithmetic underneath them changes.
 
 ``golden_cli.json`` holds the ``results`` of ``verify -d 3..10``, of
-``interp -d 3..8`` and, as SHA-256 digests of their canonical JSON (the
+``interp -d 3..10`` and, as SHA-256 digests of their canonical JSON (the
 reports are about 270 KB), of ``gen -d 3..10 --sign plus|minus``; every
 one of those commands exits 0.  Re-record it only for an intended change of
 output, by running this file as a script.
@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 JOBS = (
     [("verify", str(d), ("verify", "-d", str(d))) for d in range(3, 11)]
-    + [("interp", str(d), ("interp", "-d", str(d))) for d in range(3, 9)]
+    + [("interp", str(d), ("interp", "-d", str(d))) for d in range(3, 11)]
     + [
         ("gen", f"{d}-{sign}", ("gen", "-d", str(d), "--sign", sign))
         for d in range(3, 11)

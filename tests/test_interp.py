@@ -5,15 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from chebcurve import interp
 from chebcurve.interp import (
     evaluation_kernel_dim,
+    evaluation_ranks,
     evaluation_thresholds,
     grid_matrix,
+    grid_ranks,
     node_evaluation_surjective,
 )
 from chebcurve.linalg import rank
 from chebcurve.syzygy import syzygy_dim
-from chebcurve.chebyshev import curve_polynomial
+from chebcurve.chebyshev import build, curve_polynomial
 
 
 class TestRank:
@@ -52,8 +55,30 @@ class TestThresholds:
         assert evaluation_thresholds(d) == (d - 3, d - 2)
 
     def test_cubic_matrix_shape(self):
-        mat = grid_matrix(3, 1)
-        assert len(mat.rows) == 2 and len(mat.columns) == 3
+        rows = grid_matrix(3, 1)
+        assert len(rows) == 2 and all(len(row) == 3 for row in rows)
+
+
+class TestEvaluationRanks:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_grid_ranks_match_sympy(self, sympy_rank, d):
+        ranks = evaluation_ranks(build(d).minus_nodes, d)
+        assert ranks == tuple(sympy_rank(grid_matrix(d, r)) for r in range(d + 1))
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_grid_ranks_stop_at_the_surjective_degree(self, monkeypatch, d):
+        # the grid is surjective from degree d-2 on, so r = 0..d-2 are
+        # eliminated and r = d-1, d are read off the point count
+        calls = []
+
+        def counted(matrix):
+            calls.append(1)
+            return rank(matrix)
+
+        monkeypatch.setattr(interp.linalg, "rank", counted)
+        ranks = grid_ranks.__wrapped__(d)
+        assert len(calls) == d - 1
+        assert ranks[d - 1] == ranks[d] == len(build(d).minus_nodes)
 
 
 class TestKernelDims:
@@ -86,6 +111,6 @@ class TestKernelDims:
 
 
 class TestNodeSurjectivity:
-    @pytest.mark.parametrize("d", range(3, 7))
+    @pytest.mark.parametrize("d", range(3, 11))
     def test_holds(self, d):
         assert node_evaluation_surjective(d)
