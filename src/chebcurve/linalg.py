@@ -7,6 +7,14 @@ Q(2*cos(pi/d))) for every exact rank (``_rank_exact``) and for
 ``solve_unique``.  ``primitive`` and ``strip_content`` are the content
 helpers of the Groebner-basis reductions.
 
+Over F_p a row is reduced lazily: its entries stay unreduced ints, its
+columns wait in a heap, and only the popped column is reduced mod p.  A
+zero there is dropped; a nonzero value with a pivot is the multiplier of
+that pivot row, subtracted without ``% p``; one without a pivot leads the
+residue, which is then reduced mod p in full.  Every step is the one the
+fully reduced loop takes, on the same residues mod p, so the residues and
+the echelon are the same as if each entry were reduced when touched.
+
 Rank is certified before it is computed.  Reducing the entries modulo one
 prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
 2*cos(pi/d) goes to zeta + 1/zeta for a 2d-th root of unity zeta in F_p),
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
@@ -110,17 +119,19 @@ def _rank_exact(rows: list[Row]) -> int:
 
 
 def _is_prime(n: int) -> bool:
-    # Miller-Rabin with bases 2, 3, 5, 7 is deterministic below 3215031751;
-    # that is enough only because every modulus here is below 2**31
+    # Miller-Rabin with the first 12 primes as bases is deterministic below
+    # 318665857834031151167461, about 3.2 * 10**23 and far above 2**64
+    # (Sorenson & Webster, Math. Comp. 2017)
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if n < 2:
         return False
-    for q in (2, 3, 5, 7):
+    for q in bases:
         if n % q == 0:
             return n == q
     s, m = 0, n - 1
     while m % 2 == 0:
         s, m = s + 1, m // 2
-    for a in (2, 3, 5, 7):
+    for a in bases:
         x = pow(a, m, n)
         if x in (1, n - 1):
             continue
@@ -356,7 +367,9 @@ class Echelon:
     Each pivot row is normalized to lead 1 and stored under its leading
     column, so a row is reduced by subtracting multiples of the pivot rows
     at its leading column until that column has no pivot.  With a prime p
-    the entries are ints reduced mod p.
+    the entries are ints: pivot rows and residues hold values in 1..p-1,
+    while a row being reduced takes ``% p`` only at each column it pops
+    from its heap and once more on exit (see the module docstring).
     """
 
     def __init__(self, p: int | None = None):
@@ -366,21 +379,47 @@ class Echelon:
     def reduce(self, row: Row) -> Row:
         """The residue of row: empty, or led by a column without a pivot."""
         p = self.p
-        row = dict(row) if p is None else {c: r for c, v in row.items() if (r := v % p)}
+        row = dict(row)
+        if p is None:
+            while row:
+                lead = min(row)
+                prow = self.pivots.get(lead)
+                if prow is None:
+                    break
+                f = row[lead]
+                for c, v in prow.items():
+                    nv = row.get(c, 0) - f * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        row.pop(c, None)
+            return row
+        # entries stay unreduced ints until their column is popped; the heap
+        # is built at the first pivot, so a row that meets none pays min()
+        heap = None
         while row:
-            lead = min(row)
+            lead = min(row) if heap is None else heappop(heap)
+            f = row[lead] % p
+            if not f:
+                del row[lead]
+                continue
             prow = self.pivots.get(lead)
             if prow is None:
-                break
-            f = row[lead]
+                return {c: r for c, v in row.items() if (r := v % p)}
+            if heap is None:
+                heap = [c for c in row if c != lead]
+                heapify(heap)
+            # prow's other columns all exceed lead, so the popped columns
+            # increase and no column enters the heap twice
+            get = row.get
             for c, v in prow.items():
-                nv = row.get(c, 0) - f * v
-                if p is not None:
-                    nv %= p
-                if nv:
-                    row[c] = nv
+                x = get(c)
+                if x is None:
+                    row[c] = -f * v
+                    heappush(heap, c)
                 else:
-                    row.pop(c, None)
+                    row[c] = x - f * v
+            del row[lead]
         return row
 
     def insert(self, row: Row) -> Row:

@@ -1,6 +1,7 @@
 """Exact elimination: rank, kernels, unique solving, the modular certificates."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -283,11 +284,30 @@ class TestCertificate:
             assert not any(_is_prime(q) for q in range(p + n, 2**31, n))
 
     def test_moduli_are_prime(self):
-        # Miller-Rabin with bases 2, 3, 5, 7 is proven only below 3215031751
         sympy = pytest.importorskip("sympy")
         for n in range(2, 65):
             p = _modulus(n)
             assert p < 2**31 and p % n == 1 and sympy.isprime(p), n
+
+    def test_smallest_strong_pseudoprime_to_bases_2_3_5_7(self):
+        # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin for bases 2, 3, 5, 7
+        assert 3215031751 == 151 * 751 * 28351
+        assert not linalg._is_prime(3215031751)
+
+    def test_is_prime_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        # strong pseudoprimes to bases 2, 3, 5, 7 (OEIS A056915), then the
+        # smallest ones to the first 5, 6, 7 and 9 primes
+        pseudoprimes = [
+            3215031751, 118670087467, 307768373641, 315962312077, 354864744877,
+            457453568161, 528929554561, 546348519181, 602248359169, 1362242655901,
+            2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+        ]
+        rng = random.Random(20)
+        odd = [rng.getrandbits(64) | 1 for _ in range(2000)]
+        primes = [sympy.prevprime(2**64), sympy.nextprime(2**63), 2**61 - 1]
+        for n in pseudoprimes + odd + primes + list(range(-1, 1000)):
+            assert linalg._is_prime(n) == sympy.isprime(n), n
 
     def test_unlucky_prime_falls_back(self):
         p = _modulus(2)
@@ -440,3 +460,98 @@ class TestEchelonModP:
         assert _reaches_rank_mod_p(residues, p, expected)
         if expected < len(rows):
             assert not _reaches_rank_mod_p(residues, p, expected + 1)
+
+
+def eager_reduce(echelon: Echelon, row: dict) -> dict:
+    """The reference reduction over F_p: every entry is reduced mod p as
+    soon as it is touched, and each step takes min(row) afresh."""
+    p = echelon.p
+    row = {c: r for c, v in row.items() if (r := v % p)}
+    while row:
+        lead = min(row)
+        prow = echelon.pivots.get(lead)
+        if prow is None:
+            break
+        f = row[lead]
+        for c, v in prow.items():
+            nv = (row.get(c, 0) - f * v) % p
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+    return row
+
+
+_echelon_reduce = Echelon.reduce
+
+
+class EagerEchelon(Echelon):
+    """Echelon with the reference reduction over F_p; over a field
+    (p None) it keeps Echelon's own loop."""
+
+    def reduce(self, row):
+        return _echelon_reduce(self, row) if self.p is None else eager_reduce(self, row)
+
+
+ORACLE_PRIMES = sorted({7, 101, _modulus(2)} | {_modulus(2 * d) for d in range(3, 17)})
+
+
+@st.composite
+def sparse_rows_mod_p(draw):
+    """(p, rows): sparse rows over 12 columns with entries in [-3p, 3p],
+    multiples of p and small values among them."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    entry = st.one_of(
+        st.integers(min_value=-3 * p, max_value=3 * p),
+        st.integers(min_value=-3, max_value=3).map(lambda k: k * p),
+        st.integers(min_value=-3, max_value=3),
+    )
+    row = st.dictionaries(st.integers(min_value=0, max_value=11), entry, max_size=8)
+    return p, draw(st.lists(row, min_size=1, max_size=14))
+
+
+class TestLazyReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_rows_mod_p())
+    def test_same_residues_and_pivots_as_eager_loop(self, case):
+        p, rows = case
+        lazy, eager = Echelon(p), EagerEchelon(p)
+        for row in rows:
+            residue = lazy.insert(row)
+            assert residue == eager.insert(row)
+            assert all(0 < v < p for v in residue.values())
+            assert lazy.pivots == eager.pivots
+        # reduce leaves the echelon as it is
+        for row in rows:
+            assert lazy.reduce(row) == eager.reduce(row) == {}
+        assert lazy.pivots == eager.pivots
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_chebyshev_certificates_match_eager_loop(self, monkeypatch, d):
+        f = curve_polynomial(d)
+        relations = syzygy.chebyshev_relations(d)
+        cases = []
+        for r in range(2 * d + 1):
+            jac, _ = syzygy.jacobian_degree_matrix(f, r)
+            kernel, _ = syzygy.relation_matrix(relations, r)
+            cases.append((jac, kernel))
+        lazy = [kernel_certificate(jac, kernel) for jac, kernel in cases]
+        monkeypatch.setattr(Echelon, "reduce", EagerEchelon.reduce)
+        assert [kernel_certificate(jac, kernel) for jac, kernel in cases] == lazy
+        assert None not in lazy
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_lifted_syzygies_match_eager_loop(self, monkeypatch, d):
+        # from the Koszul trio alone the certificate falls short at r = d-2,
+        # so the relations there are lifted from J_r's echelon mod p
+        f = curve_polynomial(d)
+
+        def lifted():
+            relations = syzygy.koszul_relations(f)
+            dims = [syzygy.syzygy_dim(f, r, relations) for r in range(2 * d + 1)]
+            return dims, relations
+
+        lazy = lifted()
+        monkeypatch.setattr(Echelon, "reduce", EagerEchelon.reduce)
+        assert lifted() == lazy
+        assert len(lazy[1]) > 3
