@@ -35,7 +35,6 @@ from .polyring import (
     grevlex_key,
     grevlex_pack,
     grevlex_unpack,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -279,12 +278,3 @@ def leading_ideal(G: GroebnerBasis) -> tuple[Monomial, ...]:
     lms = sorted((g.leading_monomial() for g in G.elements), key=grevlex_key)
     return tuple(lms)
 
-
-def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
-    """S-polynomial over Q, used by tests to confirm the Buchberger criterion."""
-    lf = f.leading_monomial()
-    lg = g.leading_monomial()
-    lcm = mono_lcm(lf, lg)
-    mf = MPoly(f.nvars, {mono_div(lcm, lf): 1 / Fraction(f.terms[lf])})
-    mg = MPoly(g.nvars, {mono_div(lcm, lg): 1 / Fraction(g.terms[lg])})
-    return mf * f - mg * g

@@ -2,9 +2,10 @@
 
 ``evaluation_ranks`` gives the rank of evaluating the polynomials of degree
 at most r in x, y at a set of points, for every r up to a top degree.  On
-the companion-curve grid its ranks give the interpolation thresholds and the
-kernel dimensions that feed the syzygy cross-checks; on the curve's nodes
-its rank at 2d-3 says whether forms of that degree take every value there.
+the companion-curve grid its ranks up to d give the interpolation
+thresholds and kernel dimensions, and up to 2d the syzygy counts of the
+Chebyshev resolution (see ``syzygy``); on the curve's nodes its rank at
+2d-3 says whether forms of that degree take every value there.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ def evaluation_ranks(points, top: int) -> tuple[int, ...]:
     monomial x^a y^b, listed degree by degree, with x^a and y^b read from
     per-point power lists that grow one degree at a time.  Once the rank
     equals the number of points it stays there, since a higher degree only
-    adds columns, so no further column is built.
+    adds columns, and it can never exceed the number of points, so no
+    further column is built and the remaining ranks are proven.
     """
     px = [[1] for _ in points]
     py = [[1] for _ in points]
@@ -60,10 +62,14 @@ def evaluation_kernel_dim(d: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def grid_ranks(d: int) -> tuple[int, ...]:
-    """Ranks of the degree-r grid evaluation matrices for r = 0..d."""
+    """Ranks of the degree-r grid evaluation matrices for r = 0..2d.
+
+    Elimination stops at the first surjective degree, d-2, and the later
+    ranks read the point count, so the degrees past d cost nothing.
+    """
     if d < 3:
         raise ValueError("require d >= 3")
-    return evaluation_ranks(build(d).minus_nodes, d)
+    return evaluation_ranks(build(d).minus_nodes, 2 * d)
 
 
 def evaluation_thresholds(d: int) -> tuple[int, int]:
@@ -72,7 +78,7 @@ def evaluation_thresholds(d: int) -> tuple[int, int]:
     Scans r = 0..d: injective means full column rank, surjective means rank
     equal to the number of grid points.
     """
-    ranks = grid_ranks(d)
+    ranks = grid_ranks(d)[: d + 1]
     npoints = len(build(d).minus_nodes)
     max_injective = None
     min_surjective = None

@@ -11,15 +11,37 @@ Every matrix here is built by ``macaulay_matrix``, the degree slice of
 (c_1, ..., c_k) -> sum c_i * v_i for tuples of forms v_i: the Jacobian
 degree matrices and the matrices of the relation module.
 
-For the Chebyshev curve the relations prove the ranks.  Each non-Koszul
+For the Chebyshev curve f = z^d (T_d(x/z) + T_d(y/z)) the syzygy counts
+come from the evaluation ranks on the companion grid ``minus_nodes``:
+
+- fx = z^(d-1) T_d'(x/z) involves only x and z, fy only y and z, and
+  their leading monomials x^(d-1) and y^(d-1) are coprime, so {fx, fy}
+  is a Groebner basis.
+- So Q = S/(fx, fy) has the basis x^a y^b z^c with a, b <= d-2, and z is
+  a non-zero-divisor on Q.
+- At z = 1, Q is the ring of functions on the (d-1)^2 critical grid,
+  since T_d' has the d-1 distinct roots cos(k*pi/d).
+- Euler's relation gives z*fz = d*f mod (fx, fy).
+- On the grid f is T_d(a) + T_d(b): +-2 on ``minus_nodes`` and 0 on
+  ``plus_nodes``.  So for g of degree r, fz*g lies in (fx, fy) exactly
+  when g vanishes on ``minus_nodes``.
+- Hence the third components a3 of the degree-r syzygies are the forms
+  that vanish on ``minus_nodes`` at z = 1, of dimension dim S_r - rank_r,
+  where rank_r is the rank of evaluating the polynomials of degree <= r
+  in x, y there.  Each a3 fixes (a1, a2) up to the multiples of
+  (fy, -fx), the only syzygies of (fx, fy), so
+  syz(r) = dim S_r - rank_r + dim S_(r-d+1).
+
+The relations prove the ranks of the relation module.  Each non-Koszul
 relation passes an identity check when it is built, and the Koszul ones
 hold trivially, so the columns of the relation matrix R_r are syzygies of
 degree r: J_r R_r = 0 for the Jacobian degree matrix J_r.  Hence
 rank_p R_r <= rank R_r <= syz(r) = ncols J_r - rank J_r <= ncols J_r -
 rank_p J_r, and ``linalg.kernel_certificate`` closes both ranks modulo one
 prime when the ends meet; otherwise they are computed exactly.  So
-``verify_resolution`` makes one certificate per degree r = 0..2d, and for
-r = d-2..d+2 reads rank R_r = syz(r) from the same proof.
+``verify_resolution`` reads syz(r), r = 0..2d, from the grid ranks, and
+makes one certificate only at each r = d-2..d+2, where it proves rank R_r
+and must give the grid count.
 
 For any other input the known syzygies start as the Koszul trio.  When
 the certificate of a degree r falls short, it lifts the missing syzygies
@@ -38,6 +60,7 @@ from typing import Sequence
 from . import linalg
 from .chebyshev import curve_affine, curve_polynomial, minus_conics
 from .hilbert import chebyshev_resolution, milnor_profile, series_dims
+from .interp import grid_ranks
 from .numberfield import SelfCheckError
 from .polyring import (
     InexactDivisionError,
@@ -280,15 +303,18 @@ class ResolutionReport:
 def verify_resolution(d: int) -> ResolutionReport:
     """Cross-check the graded resolution of the degree-d Chebyshev curve.
 
-    Per degree r the elimination count of syzygies must match the
-    rank-nullity count from the Hilbert data; the first non-zero degree is
-    d-2; and for r = d-2..d+2 the assembled relations have the rank and
-    kernel dimensions the resolution shape dictates.  One kernel
-    certificate per degree proves both ranks.
+    Per degree r = 0..2d the syzygy count read from the grid ranks (see the
+    module docstring) must match the rank-nullity count from the Hilbert
+    data, and the first non-zero degree is d-2.  For r = d-2..d+2 one
+    kernel certificate of J_r against R_r proves rank R_r = syz(r), which
+    must equal the grid count, and the assembled relations have the kernel
+    dimensions the resolution shape dictates.  A mismatch fails a check of
+    the report.
     """
     if d < 3:
         raise ValueError("require d >= 3")
     f = curve_polynomial(d)
+    ranks = grid_ranks(d)
     syz_checks = []
     rank_checks = []
     kernel_checks = []
@@ -297,13 +323,13 @@ def verify_resolution(d: int) -> ResolutionReport:
     # construction raises unless each relation holds identically
     relations = chebyshev_relations(d)
     for r in range(2 * d + 1):
-        got, second = _degree_dims(f, r, relations, relation_rank=d - 2 <= r <= d + 2)
+        got = _dim_homog(r) - ranks[r] + _dim_homog(r - d + 1)
         syz_checks.append(DegreeCheck(r=r, got=got, expected=syzygy_dim_from_hilbert(f, r)))
         if first_degree is None and got:
             first_degree = r
             first_count = got
-        if second is not None:
-            rank, ker = second
+        if d - 2 <= r <= d + 2:
+            rank, ker = _degree_dims(f, r, relations, relation_rank=True)[1]
             rank_checks.append(DegreeCheck(r=r, got=rank, expected=got))
             kernel_checks.append(DegreeCheck(r=r, got=ker, expected=expected_relation_kernel_dim(d, r)))
     return ResolutionReport(

@@ -6,23 +6,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chebcurve.groebner import (
-    GroebnerBasis,
-    buchberger,
-    leading_ideal,
-    normal_form,
-    s_polynomial,
-)
+from chebcurve.groebner import GroebnerBasis, buchberger, leading_ideal, normal_form
 from chebcurve.hilbert import hilbert_numerator, series_dims
 from chebcurve.polyring import (
     GREVLEX_WIDTH,
     MPoly,
     dehomogenize,
     grevlex_key,
+    mono_div,
+    mono_lcm,
     monomial_basis,
     parse,
     partials,
 )
+
+
+def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
+    """S-polynomial over Q, to confirm the Buchberger criterion."""
+    lf = f.leading_monomial()
+    lg = g.leading_monomial()
+    lcm = mono_lcm(lf, lg)
+    mf = MPoly(f.nvars, {mono_div(lcm, lf): 1 / Fraction(f.terms[lf])})
+    mg = MPoly(g.nvars, {mono_div(lcm, lg): 1 / Fraction(g.terms[lg])})
+    return mf * f - mg * g
 
 
 def gb_of(*texts):

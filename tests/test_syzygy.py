@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chebcurve import cli, linalg, syzygy
+from chebcurve import cli, interp, linalg, syzygy
 from chebcurve.chebyshev import build, curve_polynomial, minus_conics
 from chebcurve.numberfield import real_cyclotomic_field
 from chebcurve.polyring import MPoly, monomial_basis, parse, partials, variables
@@ -211,7 +211,7 @@ class TestKernelCertificate:
             if d <= 6 or r <= d + 2:
                 assert ncols - rank_j == sympy_rank(kernel)
 
-    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("d", range(3, 13))
     def test_resolution_needs_no_exact_elimination(self, monkeypatch, d):
         def refuse(rows):
             raise AssertionError("exact elimination reached")
@@ -251,8 +251,8 @@ class TestVerifyResolution:
 
     @pytest.mark.parametrize("d", range(3, 9))
     def test_syzygy_dims_computed_once_per_degree(self, monkeypatch, d):
-        # one certificate per degree proves syz(r) and, for r = d-2..d+2,
-        # the relation-module rank too
+        # the grid ranks give syz(r) in every degree; one certificate at
+        # each r = d-2..d+2 proves the relation-module rank there
         calls = []
         certificate = linalg.kernel_certificate
 
@@ -262,7 +262,33 @@ class TestVerifyResolution:
 
         monkeypatch.setattr(linalg, "kernel_certificate", counted)
         assert verify_resolution(d).ok
-        assert calls == [3 * (r + 2) * (r + 1) // 2 for r in range(2 * d + 1)]
+        assert calls == [3 * (r + 2) * (r + 1) // 2 for r in range(d - 2, d + 3)]
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_grid_counts_match_elimination_and_hilbert(self, d):
+        # the per-degree elimination against the relations is the oracle
+        # of the counts read from the grid ranks
+        f = curve_polynomial(d)
+        relations = chebyshev_relations(d)
+        checks = verify_resolution(d).syzygy_checks
+        assert [c.r for c in checks] == list(range(2 * d + 1))
+        for c in checks:
+            assert c.got == syzygy_dim(f, c.r, relations)
+            assert c.got == c.expected == syzygy_dim_from_hilbert(f, c.r)
+
+    @pytest.mark.parametrize("r", [5, 10])
+    def test_perturbed_grid_rank_fails_its_degree(self, monkeypatch, r):
+        # at d = 5, r = d lies in the certified window and r = 2d past it
+        d = 5
+        ranks = list(interp.grid_ranks(d))
+        ranks[r] -= 1
+        monkeypatch.setattr(syzygy, "grid_ranks", lambda _: tuple(ranks))
+        report = verify_resolution(d)
+        assert report.ok is False
+        checks = report.syzygy_checks + report.rank_checks + report.kernel_checks
+        failed = [c for c in checks if not c.ok]
+        assert failed and all(c.r == r for c in failed)
+        assert len(failed) == (2 if r == d else 1)
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_exact_path_gives_the_same_report(self, monkeypatch, d):
