@@ -10,8 +10,9 @@ verify runs every item at each degree 3..10 except syzygy_resolution, the
 graded resolution, which it runs for degrees up to 8.
 Reports are canonical: keys sorted, integers exact, rationals as "p/q"
 strings, field elements as coefficient arrays with their minimal
-polynomial; timings live under the volatile key so the rest of the payload
-is byte-stable.
+polynomial; timings, and the proof that gave the syzygy counts (quotient
+or koszul), live under the volatile key so the rest of the payload is
+byte-stable.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ from .hilbert import chebyshev_milnor_numerator, expected_node_count, milnor_pro
 from .interp import evaluation_kernel_dim, evaluation_thresholds, node_evaluation_surjective
 from .numberfield import AlgNum, SelfCheckError
 from .polyring import MPoly, ParseError, parse, to_string
-from .syzygy import koszul_relations, syzygy_dim, syzygy_dim_from_hilbert, verify_resolution
+from .syzygy import (
+    koszul_relations,
+    quotient_syzygy_dims,
+    regular_pair_basis,
+    syzygy_dim,
+    syzygy_dim_from_hilbert,
+    verify_resolution,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -205,20 +213,32 @@ def cmd_syzygy(args) -> int:
     if _refused(f, 2) or _over_budget("--rmax", args.rmax, RMAX_PER_DEGREE, f.degree()):
         return EXIT_PRECONDITION
     r_max = args.rmax if args.rmax is not None else 2 * f.degree()
-    per_degree = []
-    # syzygies lifted at one degree prove the next ones through their multiples
-    relations = koszul_relations(f)
-    for r in range(r_max + 1):
-        per_degree.append(
-            {
-                "r": r,
-                "dimension": syzygy_dim(f, r, relations),
-                "expected_from_hilbert": syzygy_dim_from_hilbert(f, r),
-            }
-        )
+    t1 = time.perf_counter()
+    proof = "koszul" if regular_pair_basis(f) is None else "quotient"
+    t2 = time.perf_counter()
+    dims = quotient_syzygy_dims(f, r_max)
+    if dims is None:
+        # syzygies lifted at one degree prove the next ones through their multiples
+        relations = koszul_relations(f)
+        dims = [syzygy_dim(f, r, relations) for r in range(r_max + 1)]
+    t3 = time.perf_counter()
+    expected = [syzygy_dim_from_hilbert(f, r) for r in range(r_max + 1)]
+    t4 = time.perf_counter()
+    per_degree = [
+        {"r": r, "dimension": got, "expected_from_hilbert": want}
+        for r, (got, want) in enumerate(zip(dims, expected))
+    ]
     results = {"degree": f.degree(), "per_degree": per_degree}
-    timings = {"total": round((time.perf_counter() - t0) * 1000.0, 3)}
-    _emit(_report("syzygy", {"file": args.file, "rmax": r_max}, results, timings=timings), args)
+    timings = {
+        "parse": round((t1 - t0) * 1000.0, 3),
+        "basis": round((t2 - t1) * 1000.0, 3),
+        "counts": round((t3 - t2) * 1000.0, 3),
+        "hilbert": round((t4 - t3) * 1000.0, 3),
+        "total": round((time.perf_counter() - t0) * 1000.0, 3),
+    }
+    report = _report("syzygy", {"file": args.file, "rmax": r_max}, results, timings=timings)
+    report["volatile"]["proof"] = proof
+    _emit(report, args)
     return EXIT_OK
 
 

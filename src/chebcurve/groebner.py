@@ -38,6 +38,7 @@ from .polyring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    monomial_basis,
 )
 
 
@@ -49,6 +50,13 @@ class GroebnerBasis:
     def _primitive(self) -> list[_GPoly]:
         """The primitive integer form of each element, as ``normal_form`` reduces by."""
         return [_make_gpoly(_packed(primitive(g.terms))) for g in self.elements]
+
+    @cached_property
+    def z_free(self) -> bool:
+        """Whether no leading monomial involves z, the last grevlex
+        variable; then z is a non-zero-divisor on S/I (Bayer & Stillman,
+        Invent. Math. 1987) and z times a standard monomial is standard."""
+        return all(not g.exps[2] for g in self._primitive)
 
 
 def _packed(terms: dict[Monomial, int]) -> dict[int, int]:
@@ -271,6 +279,37 @@ def normal_form(p: MPoly, G: GroebnerBasis) -> MPoly:
     rem, scale = _normal_form_int(_packed(terms), G._primitive, scaled=True)
     scale *= terms[m] / Fraction(p.terms[m])  # terms is p times this factor
     return MPoly(p.nvars, {grevlex_unpack(-k, p.nvars): c / scale for k, c in rem.items()})
+
+
+def multiplication_rows(G: GroebnerBasis, h: MPoly, top: int):
+    """Multiplication by the form h on Q = S/I, I the ideal of the basis,
+    from Q_r to Q_(r + deg h), for r = 0..top, in the standard monomials.
+
+    Yields one dict per degree r, from each standard monomial m of degree r
+    (one that no leading monomial divides), in ``monomial_basis`` order, to
+    its row: a nonzero integer multiple of NF(h*m), with the loop's packed
+    keys.  The standard monomials are closed under division, so m = v*m'
+    for a variable v and a standard m', and the row of m is NF(v * row of
+    m'): a normal form of at most dim Q_(r + deg h - 1) terms.  When
+    ``G.z_free``, the row of z*m' is exactly the row of m' times z.
+    """
+    basis = G._primitive
+    leads = [g.exps for g in basis]
+    steps = [-grevlex_pack(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    rows: dict[Monomial, dict[int, int]] = {}
+    for r in range(top + 1):
+        parents, rows = rows, {}
+        for m in monomial_basis(r, nvars=3):
+            if any(mono_divides(e, m) for e in leads):
+                continue
+            if not r:
+                rows[m] = _normal_form_int(_packed(primitive(h.terms)), basis)
+                continue
+            v = 2 if m[2] else 1 if m[1] else 0
+            parent = parents[tuple(e - (i == v) for i, e in enumerate(m))]
+            row = {k + steps[v]: c for k, c in parent.items()}
+            rows[m] = row if v == 2 and G.z_free else _normal_form_int(row, basis)
+        yield rows
 
 
 def leading_ideal(G: GroebnerBasis) -> tuple[Monomial, ...]:

@@ -7,9 +7,9 @@ rank-nullity, and the distinguished non-Koszul relations are constructed
 explicitly by polynomial division: the companion curve by one conic
 factor, then by the Groebner basis {fx, fy}.
 
-Every matrix here is built by ``macaulay_matrix``, the degree slice of
-(c_1, ..., c_k) -> sum c_i * v_i for tuples of forms v_i: the Jacobian
-degree matrices and the matrices of the relation module.
+Every matrix over S here is built by ``macaulay_matrix``, the degree
+slice of (c_1, ..., c_k) -> sum c_i * v_i for tuples of forms v_i: the
+Jacobian degree matrices and the matrices of the relation module.
 
 For the Chebyshev curve f = z^d (T_d(x/z) + T_d(y/z)) the syzygy counts
 come from the evaluation ranks on the companion grid ``minus_nodes``:
@@ -43,6 +43,32 @@ prime when the ends meet; otherwise they are computed exactly.  So
 makes one certificate only at each r = d-2..d+2, where it proves rank R_r
 and must give the grid count.
 
+Any curve whose fx, fy form a regular sequence is counted the same way,
+through Q = S/(fx, fy), without J_r (``quotient_syzygy_dims``):
+
+- Two forms of degree e = d-1 form a regular sequence exactly when
+  S/(fx, fy) has the Hilbert series (1 - t^e)^2/(1 - t)^3 of a complete
+  intersection, and a Groebner basis of (fx, fy) gives that series from
+  its leading ideal (``regular_pair_basis``).
+- Then the Koszul complex of (fx, fy) is exact (Eisenbud, Commutative
+  Algebra, section 17): the syzygies of (fx, fy) are the multiples of
+  (fy, -fx).  So, as above, a degree-r syzygy is fixed by its a3 up to
+  the dim S_(r-d+1) multiples of (fy, -fx), and the a3 are the forms
+  with fz*a3 in (fx, fy), those whose class in Q_r lies in the kernel of
+  M_r, the multiplication by fz from Q_r to Q_(r+d-1).  They span
+  dim S_r - dim Q_r + (dim Q_r - rank M_r), so
+  syz(r) = dim S_r - rank M_r + dim S_(r-d+1).
+- M_r is written in the standard monomials of Q, at most (d-1)^2 of them
+  in each degree; J_r is dim S_(r+d-1) x 3*dim S_r.
+- The rank of M_r is proven like that of J_r: a kernel certificate of
+  the transpose of M_r, whose columns are the rows NF(fz*m).  Its known
+  kernel vectors are those of degree r-1 times z, when no leading monomial
+  of the basis involves z: then z*m is standard for every standard m and
+  the row of z*m is the row of m times z.  The missing ones are lifted
+  from F_p, and each is kept only once its combination of the integer
+  rows is zero exactly.  A degree whose certificate does not close takes
+  ``linalg.rank`` of the small matrix.
+
 For any other input the known syzygies start as the Koszul trio.  When
 the certificate of a degree r falls short, it lifts the missing syzygies
 from their residues mod p; each becomes a relation of degree r only once
@@ -55,11 +81,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
-from . import linalg
+from . import linalg, upoly
 from .chebyshev import curve_affine, curve_polynomial, minus_conics
-from .hilbert import chebyshev_resolution, milnor_profile, series_dims
+from .groebner import GroebnerBasis, buchberger, leading_ideal, multiplication_rows
+from .hilbert import (
+    MILNOR_CACHE_SIZE,
+    chebyshev_resolution,
+    hilbert_numerator,
+    milnor_profile,
+    series_dims,
+)
 from .interp import grid_ranks
 from .numberfield import SelfCheckError
 from .polyring import (
@@ -143,45 +177,99 @@ def _lifter(f: MPoly, r: int, relations: list):
     return lift
 
 
-def _degree_dims(
-    f: MPoly, r: int, relations: Sequence = (), relation_rank: bool = False
-) -> tuple[int, tuple[int, int] | None]:
-    """syz(r) of f and, with relation_rank, (rank, kernel dim) of R_r.
+@lru_cache(maxsize=MILNOR_CACHE_SIZE)
+def regular_pair_basis(f: MPoly) -> GroebnerBasis | None:
+    """The Groebner basis of (fx, fy) when fx, fy form a regular sequence,
+    else None: its leading ideal must give the Hilbert numerator
+    (1 - t^(d-1))^2 of a complete intersection of two forms of degree d-1."""
+    fx, fy, _ = partials(f)
+    if fx.is_zero() or fy.is_zero():
+        return None
+    gb = buchberger((fx, fy))
+    step = upoly.add((1,), upoly.shift((-1,), f.degree() - 1))
+    return gb if hilbert_numerator(leading_ideal(gb)) == upoly.mul(step, step) else None
 
-    One kernel certificate of J_r against R_r proves syz(r) = ncols J_r -
-    rank J_r and rank R_r = syz(r) together.  When relations is a list, the
-    certificate lifts the syzygies it misses and appends them to it.
-    Without relations, or when the certificate does not close, both ranks
-    come from ``linalg.rank``, that of R_r only when relation_rank asks
-    for it.
-    """
-    jac, ncols = jacobian_degree_matrix(f, r)
-    rank = None
-    if relations:
-        kernel, nrel = relation_matrix(relations, r)
-        lift = _lifter(f, r, relations) if isinstance(relations, list) else None
-        rank = linalg.kernel_certificate(jac, kernel, lift)
-    syz = ncols - (linalg.rank(jac) if rank is None else rank)
-    if not relation_rank:
-        return syz, None
-    rank_rel = syz if rank is not None else linalg.rank(kernel)
-    return syz, (rank_rel, nrel - rank_rel)
+
+def _quotient_lifter(rows: dict, kernel: list):
+    """The ``lift`` of ``linalg.kernel_certificate`` for the transposed
+    multiplication matrix: it reads a vector as one coefficient per row, in
+    the order of rows, and appends it to kernel as {monomial: coefficient}
+    exactly when that combination of the integer rows is zero."""
+    monos = list(rows)
+
+    def lift(vector) -> bool:
+        den = lcm(*(q.denominator for q in vector.values()))
+        total: dict[int, int] = {}
+        for j, q in vector.items():
+            s = q.numerator * (den // q.denominator)
+            for k, c in rows[monos[j]].items():
+                total[k] = total.get(k, 0) + s * c
+        if any(total.values()):
+            return False
+        kernel.append({monos[j]: q for j, q in vector.items()})
+        return True
+
+    return lift
+
+
+def quotient_syzygy_dims(f: MPoly, r_max: int) -> list[int] | None:
+    """syz(r) for r = 0..r_max through fz on Q = S/(fx, fy), or None when
+    fx, fy are not a regular sequence (see the module docstring)."""
+    if r_max < 0:
+        raise ValueError("degree must be non-negative")
+    if not f.is_homogeneous():
+        raise ValueError("expected a homogeneous polynomial")
+    gb = regular_pair_basis(f)
+    if gb is None:
+        return None
+    dims: list[int] = []
+    kernel: list[dict] = []
+    for r, rows in enumerate(multiplication_rows(gb, partials(f)[2], r_max)):
+        column = {m: j for j, m in enumerate(rows)}
+        # z times a kernel vector of degree r-1, whose rows are shifted by z
+        known = [{(a, b, c + 1): v for (a, b, c), v in g.items()} for g in kernel] if gb.z_free else []
+        kernel = list(known)
+        transpose: dict[int, dict[int, int]] = {}
+        for j, row in enumerate(rows.values()):
+            for k, c in row.items():
+                transpose.setdefault(k, {})[j] = c
+        kernel_rows: list[dict] = [{} for _ in rows]
+        for n, g in enumerate(known):
+            for m, v in g.items():
+                kernel_rows[column[m]][n] = v
+        matrix = list(transpose.values())
+        rank = linalg.kernel_certificate(matrix, kernel_rows, _quotient_lifter(rows, kernel))
+        if rank is None:
+            rank = linalg.rank(matrix)
+        dims.append(_dim_homog(r) - rank + _dim_homog(r - f.degree() + 1))
+    return dims
 
 
 def syzygy_dim(f: MPoly, r: int, relations: Sequence | None = None) -> int:
     """Exact dimension of the degree-r syzygies of the partials of f.
 
-    ``relations`` are proven syzygies of f, (triple, degree) pairs, whose
-    relation matrix certifies the rank of the degree matrix; the default
-    is the Koszul trio.  A list is extended with the syzygies lifted from
-    F_p to close the certificate, each with degree r, so that passing one
-    list for ascending r reuses them through their multiples; a tuple is
-    taken as it is.  When the certificate does not close, the rank is
-    computed by ``linalg.rank``.
+    By default it is read from ``quotient_syzygy_dims``, and when fx, fy
+    are not a regular sequence the known syzygies start as the Koszul
+    trio.  ``relations`` are proven syzygies of f, (triple, degree) pairs,
+    whose relation matrix certifies the rank of the degree matrix J_r.  A
+    list is extended with the syzygies lifted from F_p to close the
+    certificate, each with degree r, so that passing one list for
+    ascending r reuses them through their multiples; a tuple is taken as
+    it is.  Without relations, or when the certificate does not close,
+    the rank is computed by ``linalg.rank``.
     """
     if relations is None:
+        dims = quotient_syzygy_dims(f, r)
+        if dims is not None:
+            return dims[r]
         relations = koszul_relations(f)
-    return _degree_dims(f, r, relations)[0]
+    jac, ncols = jacobian_degree_matrix(f, r)
+    rank = None
+    if relations:
+        kernel, _ = relation_matrix(relations, r)
+        lift = _lifter(f, r, relations) if isinstance(relations, list) else None
+        rank = linalg.kernel_certificate(jac, kernel, lift)
+    return ncols - (linalg.rank(jac) if rank is None else rank)
 
 
 def syzygy_dim_from_hilbert(f: MPoly, r: int) -> int:
@@ -256,10 +344,16 @@ def relation_module_kernel_dim(d: int, r: int) -> tuple[int, int]:
     """(rank, kernel dim) of assembling polynomial combinations of the
     distinguished relations and the Koszul trio in component degree r.
 
-    The rank is read from the kernel certificate of the degree-r Jacobian
-    matrix, whose syzygies these columns are, and otherwise computed.
+    One kernel certificate of the degree-r Jacobian matrix J_r, whose
+    syzygies these columns are, proves rank R_r = syz(r) = ncols J_r -
+    rank J_r; when it does not close, the rank of R_r alone comes from
+    ``linalg.rank``.
     """
-    return _degree_dims(curve_polynomial(d), r, chebyshev_relations(d), relation_rank=True)[1]
+    jac, ncols = jacobian_degree_matrix(curve_polynomial(d), r)
+    kernel, nrel = relation_matrix(chebyshev_relations(d), r)
+    rank = linalg.kernel_certificate(jac, kernel)
+    rank_rel = linalg.rank(kernel) if rank is None else ncols - rank
+    return rank_rel, nrel - rank_rel
 
 
 def expected_relation_kernel_dim(d: int, r: int) -> int:
@@ -320,8 +414,6 @@ def verify_resolution(d: int) -> ResolutionReport:
     kernel_checks = []
     first_degree = None
     first_count = 0
-    # construction raises unless each relation holds identically
-    relations = chebyshev_relations(d)
     for r in range(2 * d + 1):
         got = _dim_homog(r) - ranks[r] + _dim_homog(r - d + 1)
         syz_checks.append(DegreeCheck(r=r, got=got, expected=syzygy_dim_from_hilbert(f, r)))
@@ -329,7 +421,8 @@ def verify_resolution(d: int) -> ResolutionReport:
             first_degree = r
             first_count = got
         if d - 2 <= r <= d + 2:
-            rank, ker = _degree_dims(f, r, relations, relation_rank=True)[1]
+            # building the relations raises unless each holds identically
+            rank, ker = relation_module_kernel_dim(d, r)
             rank_checks.append(DegreeCheck(r=r, got=rank, expected=got))
             kernel_checks.append(DegreeCheck(r=r, got=ker, expected=expected_relation_kernel_dim(d, r)))
     return ResolutionReport(

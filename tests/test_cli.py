@@ -130,16 +130,18 @@ class TestHilbert:
 class TestBudgets:
     @pytest.fixture
     def no_work(self, monkeypatch):
-        from chebcurve import arrangement, hilbert, linalg
+        from chebcurve import arrangement, hilbert, linalg, syzygy
 
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the budget check")
 
         monkeypatch.setattr(hilbert, "buchberger", refuse)
         monkeypatch.setattr(arrangement, "buchberger", refuse)
+        monkeypatch.setattr(syzygy, "buchberger", refuse)
         monkeypatch.setattr(linalg, "rank", refuse)
         monkeypatch.setattr(linalg, "kernel_certificate", refuse)
         hilbert.milnor_profile.cache_clear()
+        syzygy.regular_pair_basis.cache_clear()
 
     @pytest.mark.parametrize("kmax", ["17", "100000000"])
     def test_kmax_above_4d(self, capsys, quartic_file, no_work, kmax):
@@ -195,6 +197,16 @@ class TestSyzygy:
         rep = run_json(capsys, "syzygy", quartic_file, "--rmax", "12")
         assert len(rep["results"]["per_degree"]) == 13
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "text,proof", [("x^4 + y^4 + z^4", "quotient"), ("x*y*z", "koszul"), ("x^2*y", "koszul")]
+    )
+    def test_volatile_names_the_proof_and_the_stages(self, capsys, tmp_path, text, proof):
+        path = tmp_path / "f.poly"
+        path.write_text(text)
+        volatile = run_json(capsys, "syzygy", str(path))["volatile"]
+        assert volatile["proof"] == proof
+        assert set(volatile["timings_ms"]) == {"parse", "basis", "counts", "hilbert", "total"}
 
     def test_negative_rmax_exit(self, capsys, quartic_file):
         rc, out, err = run(capsys, "syzygy", quartic_file, "--rmax", "-1")

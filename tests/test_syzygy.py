@@ -22,11 +22,25 @@ from chebcurve.syzygy import (
     macaulay_matrix,
     nontrivial_syzygy,
     relation_matrix,
+    quotient_syzygy_dims,
+    regular_pair_basis,
     relation_module_kernel_dim,
     syzygy_dim,
     syzygy_dim_from_hilbert,
     verify_resolution,
 )
+
+
+def dim_forms(e):
+    return (e + 2) * (e + 1) // 2 if e >= 0 else 0
+
+
+def hilbert_counts(f, r_max):
+    return [syzygy_dim_from_hilbert(f, r) for r in range(r_max + 1)]
+
+
+def refuse(*args):
+    raise AssertionError("refused call reached")
 
 
 def koszul_count(d, r):
@@ -300,6 +314,25 @@ class TestVerifyResolution:
         assert exact.rank_checks == proven.rank_checks
         assert exact.kernel_checks == proven.kernel_checks
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_exact_path_ranks_only_the_relation_matrices(self, monkeypatch, d):
+        # syz(r) comes from the grid, so a certificate that does not close
+        # leaves one rank to compute: that of R_r, whose rows are the
+        # 3*dim S_r columns of J_r, never J_r with its dim S_(r+d-1) rows
+        interp.grid_ranks(d)
+        ranked = []
+        rank = linalg.rank
+
+        def counted(rows):
+            rows = list(rows)
+            ranked.append(len(rows))
+            return rank(rows)
+
+        monkeypatch.setattr(linalg, "kernel_certificate", lambda matrix, kernel_rows, lift=None: None)
+        monkeypatch.setattr(linalg, "rank", counted)
+        assert verify_resolution(d).ok
+        assert ranked == [3 * dim_forms(r) for r in range(d - 2, d + 3)]
+
     def test_koszul_trio_alone_fails_the_rank_checks(self, monkeypatch):
         # without the two relations of degree d-2 = 3 no certificate closes
         # from r = 3 on, and the exact ranks of R_r fall short of syz(r)
@@ -330,13 +363,19 @@ def is_syzygy(f, triple):
     return not sum((a * g for a, g in zip(triple, partials(f))), MPoly.zero(3))
 
 
-def seed_one_input(job_name):
-    """The input file text of a jacobian-profiles benchmark job, seed 1."""
+def bench_workloads():
+    """The benchmark's workload module, loaded from bench/workloads.py."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look the module up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def seed_one_input(job_name):
+    """The input file text of a jacobian-profiles benchmark job, seed 1."""
+    workloads = bench_workloads()
     (job,) = [j for j in workloads.jacobian_profiles(random.Random(1)) if j.name == job_name]
     return job.poly
 
@@ -415,6 +454,94 @@ class TestLiftedSyzygies:
         assert all(e["dimension"] == e["expected_from_hilbert"] for e in per_degree)
 
 
+class TestQuotientCounts:
+    """syz(r) through fz on S/(fx, fy) against the Hilbert count and the
+    Koszul-trio certificate of J_r (``lifted_dims``).  The certificate runs
+    to 3d on T3..T8 and the dense quintics only: past them it takes 2 to
+    6 s per curve, while the Hilbert count stays cheap."""
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_chebyshev_counts(self, d):
+        f = curve_polynomial(d)
+        dims = quotient_syzygy_dims(f, 3 * d)
+        assert dims == hilbert_counts(f, 3 * d)
+        if d <= 8:
+            assert dims == lifted_dims(f, 3 * d)[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("d", [5, 6, 7])
+    def test_dense_counts(self, d, seed):
+        workloads = bench_workloads()
+        f = parse(workloads.poly_text(workloads.dense_curve(random.Random(seed), d)))
+        dims = quotient_syzygy_dims(f, 3 * d)
+        assert dims == hilbert_counts(f, 3 * d)
+        if d == 5:
+            assert dims == lifted_dims(f, 3 * d)[0]
+
+    @pytest.mark.parametrize("text", ["x*y*z", "x^2*y", "x^2", "z*T5"])
+    def test_other_inputs_keep_the_koszul_path(self, monkeypatch, text):
+        # fx, fy share a factor (z for x*y*z and z*T5, x for x^2*y) or one is 0
+        f = curve_polynomial(5) * parse("z") if text == "z*T5" else parse(text)
+        r_max = 2 * f.degree()
+        assert regular_pair_basis(f) is None
+        assert quotient_syzygy_dims(f, r_max) is None
+        built = []
+        matrix = syzygy.jacobian_degree_matrix
+        monkeypatch.setattr(syzygy, "jacobian_degree_matrix", lambda g, r: built.append(r) or matrix(g, r))
+        assert [syzygy_dim(f, r) for r in range(r_max + 1)] == hilbert_counts(f, r_max)
+        assert built == list(range(r_max + 1))
+
+    @pytest.mark.parametrize("text", ["x*y", "x^2 + y^2 + z^2", "y^2*z - x^3 - x^2*z", "x^4 + y^4"])
+    def test_regular_pairs_take_the_quotient_path(self, monkeypatch, text):
+        # the conics, the nodal cubic and a cone, whose fz is 0
+        f = parse(text)
+        assert regular_pair_basis(f) is not None
+        monkeypatch.setattr(syzygy, "jacobian_degree_matrix", refuse)
+        dims = [syzygy_dim(f, r) for r in range(3 * f.degree() + 1)]
+        assert dims == hilbert_counts(f, 3 * f.degree())
+        assert dims == quotient_syzygy_dims(f, 3 * f.degree())
+
+    @pytest.mark.parametrize("r", [13, 14])
+    def test_default_relations_build_no_jacobian_matrix(self, monkeypatch, r):
+        # these degrees of T7 lifted every missing syzygy of J_r at once,
+        # and the reconstruction failed
+        f = curve_polynomial(7)
+        monkeypatch.setattr(syzygy, "jacobian_degree_matrix", refuse)
+        assert syzygy_dim(f, r) == syzygy_dim_from_hilbert(f, r)
+
+    @pytest.mark.parametrize("d", [7, 8])
+    def test_chebyshev_kernels_close_with_no_rank(self, monkeypatch, d):
+        # the kernel of degree r-1 times z and the lifted vectors prove
+        # every rank of M_r, so no elimination over Q is reached
+        monkeypatch.setattr(linalg, "rank", refuse)
+        monkeypatch.setattr(linalg, "_rank_exact", refuse)
+        f = curve_polynomial(d)
+        assert quotient_syzygy_dims(f, 3 * d) == hilbert_counts(f, 3 * d)
+
+    def test_failed_certificate_takes_the_rank_of_the_small_matrix(self, monkeypatch):
+        f = curve_polynomial(5)
+        proven = quotient_syzygy_dims(f, 10)
+        shapes = []
+        rank = linalg.rank
+
+        def counted(rows):
+            rows = list(rows)
+            shapes.append(len(rows))
+            return rank(rows)
+
+        monkeypatch.setattr(linalg, "kernel_certificate", lambda matrix, kernel_rows, lift=None: None)
+        monkeypatch.setattr(linalg, "rank", counted)
+        assert quotient_syzygy_dims(f, 10) == proven
+        # M_r has at most (d-1)^2 = 16 rows and columns
+        assert len(shapes) == 11 and max(shapes) <= 16
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            quotient_syzygy_dims(curve_polynomial(4), -1)
+        with pytest.raises(ValueError):
+            quotient_syzygy_dims(parse("x^3 + y^2"), 2)
+
+
 coeff = st.integers(-2, 2)
 
 
@@ -462,3 +589,13 @@ class TestSyzygyOracle:
             assert got == ncols - sympy.Matrix(dense).to_DM(sympy.QQ).rank()
             assert got == ncols - exact_rank(rows)
         assert all(is_syzygy(f, triple) for triple, _ in relations)
+
+    @settings(max_examples=40, deadline=None)
+    @given(singular_forms())
+    @example(parse("x^2*y^2"))
+    @example(parse("x^2*y + x*y^2"))
+    def test_quotient_counts_match_the_exact_path(self, f):
+        d = f.degree()
+        dims = quotient_syzygy_dims(f, 2 * d)
+        if dims is not None:
+            assert dims == lifted_dims(f, 2 * d)[0]
