@@ -18,6 +18,26 @@ S-pair lcm are packed by ``grevlex_pack``, which raises ValueError past that
 width, and no reduction step raises the degree.  Tuples stay at the
 boundary: the basis elements, ``normal_form`` and ``leading_ideal`` speak
 ``MPoly`` and exponent tuples.
+
+For s <= n nonzero homogeneous generators of degrees e_1..e_s in n
+variables, ``buchberger`` drops every S-pair of a degree k that its basis
+so far already proves complete (Traverso, "Hilbert functions and the
+Buchberger algorithm", JSC 1996), with CI_k the coefficient of t^k in
+prod (1 - t^e_i) / (1 - t)^n:
+
+- the rank of a Macaulay matrix is largest on a Zariski-open set of
+  coefficients, and generic forms of these degrees are a regular sequence
+  with Hilbert function CI; so HF(S/I)_k >= CI_k for every such input,
+  zero or dependent generators included;
+- LT(G) lies in LT(I), so dim (S/LT(G))_k >= HF(S/I)_k;
+- so once the standard monomials of degree k number CI_k, LT(G)_k =
+  LT(I)_k, and a nonzero remainder of a degree-k S-pair, an element of
+  I_k whose leading term is not in LT(G), cannot exist: every such pair
+  reduces to zero and is dropped, as the chain criterion drops one.
+
+Any other input (non-homogeneous charts, more than n generators, degrees
+that miss the bound) keeps every pair, and the reduced basis is the same
+either way, since a dropped pair adds nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +48,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 
+from . import upoly
 from .linalg import primitive, strip_content
 from .polyring import (
     Monomial,
@@ -177,12 +198,51 @@ def _s_poly(gi: _GPoly, gj: _GPoly, lcm: Monomial) -> dict[int, int]:
     return out
 
 
+def _complete_intersection_numerator(gens):
+    """Numerator of the complete-intersection series prod (1 - t^e_i) / (1 - t)^n
+    of the forms' degrees, or None when the forms are not homogeneous or
+    outnumber the n variables, where it bounds nothing."""
+    nvars = gens[0].nvars
+    if len(gens) > nvars or not all(p.is_homogeneous() for p in gens):
+        return None
+    numerator = (1,)
+    for p in gens:
+        numerator = upoly.mul(numerator, upoly.sub((1,), upoly.shift((1,), p.degree())))
+    return numerator
+
+
+def _standard_count(leads, k: int, nvars: int) -> int:
+    """Monomials of degree k that no leading exponent triple divides.
+
+    For each x-exponent a, the y-exponents b whose monomial a lead e
+    divides form the interval e1 <= b <= k - a - e2 (z takes the rest; in
+    two variables b is k - a), so the count is a union of intervals per a,
+    merged in the order of e1.
+    """
+    live = sorted((e1, e0, e2) for e0, e1, e2 in leads if e0 + e1 + e2 <= k)
+    count = 0
+    for a in range(k + 1):
+        top = k - a
+        low = top if nvars == 2 else 0
+        covered, reach = 0, low - 1
+        for e1, e0, e2 in live:
+            hi = top - e2
+            if e0 <= a and e1 <= hi > reach:
+                covered += hi - max(e1, reach + 1) + 1
+                reach = hi
+        count += top - low + 1 - covered
+    return count
+
+
 def buchberger(generators) -> GroebnerBasis:
     """Reduced grevlex Groebner basis of the ideal the forms generate.
 
     Zero forms are dropped; ValueError when none is left or when the
     variable counts differ.  S-pairs are reduced by increasing lcm in
-    grevlex, so degree first.
+    grevlex, so degree first.  For s <= n homogeneous forms every pair of
+    a degree k whose standard monomials already number CI_k is dropped
+    (the proof is in the module docstring): the count is taken once when
+    degree k opens and falls by one with each element that degree adds.
     """
     generators = tuple(generators)
     if len({p.nvars for p in generators}) > 1:
@@ -190,6 +250,7 @@ def buchberger(generators) -> GroebnerBasis:
     gens = [p for p in generators if not p.is_zero()]
     if not gens:
         raise ValueError("the ideal needs a nonzero generator")
+    nvars = gens[0].nvars
     basis: list[_GPoly] = []
     for p in sorted(gens, key=lambda q: grevlex_key(q.leading_monomial())):
         r = _normal_form_int(_packed(primitive(p.terms)), basis)
@@ -209,14 +270,29 @@ def buchberger(generators) -> GroebnerBasis:
         for i in range(j):
             push_pair(i, j)
 
+    numerator = _complete_intersection_numerator(gens)
+    ci: list[int] = []
+    degree = gap = -1  # the open degree, and its standard monomials past CI_degree
+
     while heap:
-        _, i, j = heappop(heap)
+        (deg, _), i, j = heappop(heap)
         pending.remove((i, j))
         gi, gj = basis[i], basis[j]
         lcm = mono_lcm(gi.exps, gj.exps)
         # product criterion: coprime leading monomials reduce to zero
         if lcm == mono_mul(gi.exps, gj.exps):
             continue
+        if numerator is not None:
+            if deg != degree:
+                if deg >= len(ci):
+                    from .hilbert import series_dims  # hilbert imports this module
+
+                    ci = series_dims(numerator, 2 * deg, nvars)
+                degree = deg
+                gap = _standard_count([g.exps for g in basis], deg, nvars) - ci[deg]
+            # LT(G) = LT(I) in this degree: its pairs all reduce to zero
+            if not gap:
+                continue
         # chain criterion: a third element divides the lcm and both side
         # pairs have already been handled
         skip = False
@@ -236,28 +312,31 @@ def buchberger(generators) -> GroebnerBasis:
         if g is None:
             continue
         basis.append(g)
+        gap -= 1  # g's leading monomial was standard, of the open degree
         new = len(basis) - 1
         for k in range(new):
             push_pair(k, new)
 
-    return GroebnerBasis(_reduce_basis(basis, gens[0].nvars))
+    return GroebnerBasis(_reduce_basis(basis, nvars))
 
 
 def _reduce_basis(basis: list[_GPoly], nvars: int) -> tuple[MPoly, ...]:
-    # minimal subset: no leading monomial divides another's
+    # minimal subset, from the smallest leading monomial up: no leading
+    # monomial divides another's
     chosen: list[_GPoly] = []
     for g in sorted(basis, key=lambda g: -g.key):
         if not any(mono_divides(h.exps, g.exps) for h in chosen):
             chosen.append(g)
-    # tail-reduce every element against the others, then make monic; no
-    # other leading monomial divides g's, so g keeps it and the order holds
+    # tail-reduce each element against the reduced ones before it: a lead
+    # larger than g's divides no term of g below its lead, and no other
+    # lead divides g's, so g keeps its leading monomial and the order holds
+    done: list[_GPoly] = []
     reduced: list[MPoly] = []
-    for idx, g in enumerate(chosen):
-        others = chosen[:idx] + chosen[idx + 1 :]
-        terms = _normal_form_int(dict(g.terms), others)
-        lc = terms[g.key]
+    for g in chosen:
+        h = _make_gpoly(_normal_form_int(dict(g.terms), done))
+        done.append(h)
         reduced.append(
-            MPoly(nvars, {grevlex_unpack(-k, nvars): Fraction(c, lc) for k, c in terms.items()})
+            MPoly(nvars, {grevlex_unpack(-m, nvars): Fraction(c, h.lc) for m, c in h.terms.items()})
         )
     return tuple(reduced)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from . import upoly
 from .groebner import buchberger, leading_ideal
@@ -79,8 +80,8 @@ def hilbert_numerator(gens) -> IntPoly:
     return _mono_numerator(minimal_monomial_generators(gens), {})
 
 
-def series_dims(numerator: IntPoly, kmax: int) -> list[int]:
-    """Graded dimensions k = 0..kmax from the numerator over (1-t)^3."""
+def series_dims(numerator: IntPoly, kmax: int, nvars: int = 3) -> list[int]:
+    """Graded dimensions k = 0..kmax from the numerator over (1-t)^nvars."""
     dims = []
     for k in range(kmax + 1):
         total = 0
@@ -88,8 +89,7 @@ def series_dims(numerator: IntPoly, kmax: int) -> list[int]:
             if j > k:
                 break
             if c:
-                e = k - j
-                total += c * (e + 2) * (e + 1) // 2
+                total += c * comb(k - j + nvars - 1, nvars - 1)
         dims.append(total)
     return dims
 

@@ -372,3 +372,138 @@ class TestSympyReducedBasis:
         assume(any(not p.is_zero() for p in gens))
         expected = _sympy_reduced_basis(gens, 2)
         assert buchberger(gens).elements == expected
+
+
+def _dense_partials(d, seed):
+    """The partials of the +-1 dense curve of degree d that the benchmark draws."""
+    import random
+
+    from test_syzygy import bench_workloads
+
+    workloads = bench_workloads()
+    return partials(parse(workloads.poly_text(workloads.dense_curve(random.Random(seed), d))))
+
+
+def _fermat12_partials():
+    lines = ("x + 2*y - z", "x - y + 3*z", "2*x + y + z")
+    return partials(sum((parse(l) ** 12 for l in lines), MPoly.zero(3)))
+
+
+def _special_inputs():
+    from chebcurve.chebyshev import curve_polynomial
+
+    cases = {}
+    for d in range(3, 13):
+        cases[f"T{d}"] = partials(curve_polynomial(d))
+        cases[f"T{d}-fx-fy"] = partials(curve_polynomial(d))[:2]
+    for name, text in [
+        ("x2y", "x^2*y"),
+        ("xyz", "x*y*z"),
+        ("cusp", "y^2*z - x^3"),
+        ("nodal-cubic", "y^2*z - x^3 - x^2*z"),
+    ]:
+        cases[name] = partials(parse(text))
+    cases["z-T5"] = partials(parse("z") * curve_polynomial(5))
+    return cases
+
+
+_SPECIAL = _special_inputs()
+
+
+class TestCompleteIntersectionSkip:
+    """The pairs of a degree that the complete-intersection bound proves
+    complete are dropped; the reduced basis is the same without the bound."""
+
+    @pytest.mark.parametrize("name", sorted(_SPECIAL))
+    def test_same_basis_without_the_bound(self, name, monkeypatch):
+        from chebcurve import groebner
+
+        gens = _SPECIAL[name]
+        skipped = buchberger(gens).elements
+        monkeypatch.setattr(groebner, "_complete_intersection_numerator", lambda gens: None)
+        assert buchberger(gens).elements == skipped
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("d", [5, 6, 7, 8])
+    def test_dense_curves(self, d, seed, monkeypatch):
+        from chebcurve import groebner
+
+        gens = _dense_partials(d, seed)
+        zeros = []
+        reduce = groebner._normal_form_int
+
+        def counted(terms, basis, scaled=False):
+            rem = reduce(terms, basis, scaled)
+            zeros.append(not rem)
+            return rem
+
+        monkeypatch.setattr(groebner, "_normal_form_int", counted)
+        skipped = buchberger(gens).elements
+        # the bound leaves no S-pair that reduces to zero on these smooth curves
+        assert zeros and not any(zeros)
+        monkeypatch.setattr(groebner, "_complete_intersection_numerator", lambda gens: None)
+        assert buchberger(gens).elements == skipped
+        assert any(zeros)
+
+    def test_bound_is_the_fermat_hilbert_function(self):
+        from chebcurve.groebner import _complete_intersection_numerator
+
+        gens = _fermat12_partials()
+        bound = series_dims(_complete_intersection_numerator(gens), 36)
+        assert bound == series_dims(hilbert_numerator(leading_ideal(buchberger(gens))), 36)
+
+    @pytest.mark.parametrize("name", ["xyz", "x2y"] + [f"T{d}" for d in range(3, 13)])
+    def test_bound_is_below_the_hilbert_function(self, name):
+        from chebcurve.groebner import _complete_intersection_numerator
+
+        gens = _SPECIAL[name]
+        top = 3 * max(p.degree() for p in gens) + 3
+        bound = series_dims(_complete_intersection_numerator([p for p in gens if not p.is_zero()]), top)
+        dims = series_dims(hilbert_numerator(leading_ideal(buchberger(gens))), top)
+        assert all(b <= h for b, h in zip(bound, dims))
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [parse(t) for t in ("x^2", "y^2", "z^2", "x*y")],
+            [parse("x^2 - y"), parse("y^2"), parse("z")],
+            [parse("x^2", nvars=2), parse("y^2", nvars=2), parse("x*y", nvars=2)],
+        ],
+        ids=["four-in-three", "non-homogeneous", "three-in-two"],
+    )
+    def test_no_bound_outside_its_range(self, gens):
+        from chebcurve.groebner import _complete_intersection_numerator
+
+        assert _complete_intersection_numerator(gens) is None
+
+    def test_two_variables(self, monkeypatch):
+        from chebcurve import groebner
+
+        gens = [parse("x^3 + x*y^2 - y^3", nvars=2), parse("x^2*y - 2*y^3", nvars=2)]
+        assert groebner._complete_intersection_numerator(gens) == (1, 0, 0, -2, 0, 0, 1)
+        skipped = buchberger(gens).elements
+        assert skipped == _sympy_reduced_basis(gens, 2)
+        monkeypatch.setattr(groebner, "_complete_intersection_numerator", lambda gens: None)
+        assert buchberger(gens).elements == skipped
+
+
+@st.composite
+def homogeneous_triples(draw):
+    """Three forms of degree 1 to 3, sometimes with one common linear
+    factor, so that they are not a regular sequence."""
+    common = _random_form(draw, 1) if draw(st.booleans()) else MPoly.constant(1, 3)
+    assume(not common.is_zero())
+    forms = []
+    for _ in range(3):
+        degree = draw(st.integers(min_value=1, max_value=3 - (common.degree() > 0)))
+        monos = draw(st.lists(st.sampled_from(monomial_basis(degree, 3)), min_size=1, max_size=4, unique=True))
+        forms.append(MPoly(3, {m: draw(_small_int) for m in monos}) * common)
+    assume(any(not p.is_zero() for p in forms))
+    return forms
+
+
+class TestHomogeneousTriples:
+    @settings(max_examples=25, deadline=None)
+    @given(homogeneous_triples())
+    def test_agrees_with_sympy(self, gens):
+        assert buchberger(gens).elements == _sympy_reduced_basis(gens, 3)
