@@ -11,7 +11,8 @@ graded resolution, which it runs for degrees up to 8.
 Reports are canonical: keys sorted, integers exact, rationals as "p/q"
 strings, field elements as coefficient arrays with their minimal
 polynomial; timings, and the proof that gave the syzygy counts (quotient
-or koszul), live under the volatile key so the rest of the payload is
+or koszul) or the Hilbert numerator (complete_intersection or
+buchberger), live under the volatile key so the rest of the payload is
 byte-stable.
 """
 
@@ -203,7 +204,9 @@ def cmd_hilbert(args) -> int:
         "profile": round((t2 - t1) * 1000.0, 3),
         "total": round((time.perf_counter() - t0) * 1000.0, 3),
     }
-    _emit(_report("hilbert", {"file": args.file, "kmax": args.kmax}, results, timings=timings), args)
+    report = _report("hilbert", {"file": args.file, "kmax": args.kmax}, results, timings=timings)
+    report["volatile"]["proof"] = prof.proof
+    _emit(report, args)
     return EXIT_OK
 
 

@@ -38,6 +38,27 @@ prod (1 - t^e_i) / (1 - t)^n:
 Any other input (non-homogeneous charts, more than n generators, degrees
 that miss the bound) keeps every pair, and the reduced basis is the same
 either way, since a dropped pair adds nothing.
+
+``complete_intersection_certificate`` proves from one basis mod the word
+prime p = PRIME that such forms meet the bound in every degree, with no
+assumption on p.  Let M_k be the Macaulay matrix in degree k of the forms
+with their denominators cleared (integer forms, content kept):
+
+- HF_Q(k) = dim S_k - rank_Q M_k and HF_p(k) = dim S_k - rank_p (M_k mod p);
+  reducing mod p can only lower a rank, so HF_Q(k) <= HF_p(k) for every
+  prime, one that divides a leading coefficient or kills a form included;
+- with the bound above, CI_k <= HF_Q(k) <= HF_p(k); so HF_p = CI in every
+  degree gives HF_Q = CI, and the Hilbert numerator of S/I over Q is
+  prod (1 - t^e_i) exactly.
+
+The run mod p shares the pair loop and its skip, which holds over F_p as
+well: a Macaulay rank at any point is at most the generic rank over the
+algebraic closure, where generic forms are again a regular sequence, so
+HF_p(k) >= CI_k.  Pairs are reduced degree by degree, so once degree k
+closes its standard monomials number HF_p(k), and the run stops at the
+first degree that closes above CI_k.  Any outcome short of HF_p = CI (a
+singular or non-reduced curve, an unlucky prime) proves nothing and is
+answered None, and the caller computes the exact basis.
 """
 
 from __future__ import annotations
@@ -46,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 from . import upoly
 from .linalg import primitive, strip_content
@@ -61,6 +82,10 @@ from .polyring import (
     mono_mul,
     monomial_basis,
 )
+
+# the largest prime below 2^30: a product of two residues fits in two
+# 30-bit CPython digits
+PRIME = 1073741789
 
 
 @dataclass(frozen=True)
@@ -234,27 +259,34 @@ def _standard_count(leads, k: int, nvars: int) -> int:
     return count
 
 
-def buchberger(generators) -> GroebnerBasis:
-    """Reduced grevlex Groebner basis of the ideal the forms generate.
-
-    Zero forms are dropped; ValueError when none is left or when the
-    variable counts differ.  S-pairs are reduced by increasing lcm in
-    grevlex, so degree first.  For s <= n homogeneous forms every pair of
-    a degree k whose standard monomials already number CI_k is dropped
-    (the proof is in the module docstring): the count is taken once when
-    degree k opens and falls by one with each element that degree adds.
-    """
+def _nonzero_forms(generators) -> list[MPoly]:
+    """The nonzero forms, by increasing leading monomial; ValueError when
+    none is left or when the variable counts differ."""
     generators = tuple(generators)
     if len({p.nvars for p in generators}) > 1:
         raise ValueError("generators must share a variable count")
     gens = [p for p in generators if not p.is_zero()]
     if not gens:
         raise ValueError("the ideal needs a nonzero generator")
-    nvars = gens[0].nvars
+    return sorted(gens, key=lambda q: grevlex_key(q.leading_monomial()))
+
+
+def _pair_loop(forms, nvars: int, numerator, reduce, make, stop: bool = False):
+    """Buchberger's S-pair loop over one coefficient domain.
+
+    forms are packed term-dicts; reduce(terms, basis) is a full normal form
+    and make(remainder) the basis element it gives, None for zero.  Pairs
+    are popped by increasing lcm in grevlex, so degree first; with the
+    complete-intersection numerator, every pair of a degree k whose
+    standard monomials already number CI_k is dropped (the proof is in the
+    module docstring): the count is taken once when degree k opens and
+    falls by one with each element that degree adds.  With stop, the loop
+    returns None as soon as a degree closes with more standard monomials
+    than CI_k.  Returns the (unreduced) basis.
+    """
     basis: list[_GPoly] = []
-    for p in sorted(gens, key=lambda q: grevlex_key(q.leading_monomial())):
-        r = _normal_form_int(_packed(primitive(p.terms)), basis)
-        g = _make_gpoly(r)
+    for terms in forms:
+        g = make(reduce(terms, basis))
         if g is not None:
             basis.append(g)
 
@@ -270,7 +302,6 @@ def buchberger(generators) -> GroebnerBasis:
         for i in range(j):
             push_pair(i, j)
 
-    numerator = _complete_intersection_numerator(gens)
     ci: list[int] = []
     degree = gap = -1  # the open degree, and its standard monomials past CI_degree
 
@@ -284,6 +315,9 @@ def buchberger(generators) -> GroebnerBasis:
             continue
         if numerator is not None:
             if deg != degree:
+                # every pair of the open degree is done: it closes
+                if stop and gap > 0:
+                    return None
                 if deg >= len(ci):
                     from .hilbert import series_dims  # hilbert imports this module
 
@@ -307,8 +341,7 @@ def buchberger(generators) -> GroebnerBasis:
                     break
         if skip:
             continue
-        r = _normal_form_int(_s_poly(gi, gj, lcm), basis)
-        g = _make_gpoly(r)
+        g = make(reduce(_s_poly(gi, gj, lcm), basis))
         if g is None:
             continue
         basis.append(g)
@@ -316,8 +349,95 @@ def buchberger(generators) -> GroebnerBasis:
         new = len(basis) - 1
         for k in range(new):
             push_pair(k, new)
+    return basis
 
+
+def buchberger(generators) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis of the ideal the forms generate.
+
+    Zero forms are dropped; ValueError when none is left or when the
+    variable counts differ.  Runs ``_pair_loop`` on the primitive integer
+    forms, with the complete-intersection skip for s <= n homogeneous forms.
+    """
+    gens = _nonzero_forms(generators)
+    forms = [_packed(primitive(p.terms)) for p in gens]
+    nvars = gens[0].nvars
+    numerator = _complete_intersection_numerator(gens)
+    basis = _pair_loop(forms, nvars, numerator, _normal_form_int, _make_gpoly)
     return GroebnerBasis(_reduce_basis(basis, nvars))
+
+
+def _residues(p: MPoly) -> dict[int, int]:
+    """The packed terms mod PRIME of p with its denominators cleared, zeros dropped."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    out = {}
+    for m, c in p.terms.items():
+        r = c.numerator * (den // c.denominator) % PRIME
+        if r:
+            out[-grevlex_pack(m)] = r
+    return out
+
+
+def _make_monic(terms: dict[int, int]) -> _GPoly | None:
+    """The monic basis element mod PRIME of a reduced, zero-free remainder."""
+    if not terms:
+        return None
+    key = min(terms)
+    inverse = pow(terms[key], -1, PRIME)
+    return _GPoly({k: c * inverse % PRIME for k, c in terms.items()}, key)
+
+
+def _normal_form_mod(terms: dict[int, int], basis: list[_GPoly]) -> dict[int, int]:
+    """Full normal form mod PRIME against monic elements: the loop of
+    ``_normal_form_int`` with no cross-multiplication, gcd or content strip.
+    A work value is reduced mod PRIME only when the heap pops its key."""
+    work = dict(terms)
+    heap = list(work)
+    heapify(heap)
+    lead = [(g, *g.exps) for g in basis]
+    rem: dict[int, int] = {}
+    while heap:
+        m = heappop(heap)
+        c = work.pop(m) % PRIME
+        if not c:
+            continue
+        e0, e1, e2 = _exponents(m)
+        for red, a0, a1, a2 in lead:
+            if a0 <= e0 and a1 <= e1 and a2 <= e2:
+                break
+        else:
+            rem[m] = c
+            continue
+        q = m - red.key
+        for gm, gc in red.tail:
+            mm = q + gm
+            nv = work.get(mm)
+            if nv is None:
+                work[mm] = -c * gc
+                heappush(heap, mm)
+            else:
+                work[mm] = nv - c * gc
+    return rem
+
+
+def complete_intersection_certificate(generators) -> tuple[int, ...] | None:
+    """prod (1 - t^e_i), the Hilbert numerator of S/I for the ideal of the
+    forms, when one basis mod PRIME proves that the nonzero forms, of
+    degrees e_i, meet the complete-intersection bound in every degree;
+    else None, which proves nothing (the sandwich CI <= HF_Q <= HF_p is in
+    the module docstring).  Takes the forms ``buchberger`` takes.
+    """
+    gens = _nonzero_forms(generators)
+    numerator = _complete_intersection_numerator(gens)
+    if numerator is None:
+        return None
+    forms = [t for t in map(_residues, gens) if t]
+    basis = _pair_loop(forms, gens[0].nvars, numerator, _normal_form_mod, _make_monic, stop=True)
+    if basis is None:
+        return None
+    from .hilbert import hilbert_numerator  # hilbert imports this module
+
+    return numerator if hilbert_numerator([g.exps for g in basis]) == numerator else None
 
 
 def _reduce_basis(basis: list[_GPoly], nvars: int) -> tuple[MPoly, ...]:

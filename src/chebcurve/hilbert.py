@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import comb
 
 from . import upoly
-from .groebner import buchberger, leading_ideal
+from .groebner import buchberger, complete_intersection_certificate, leading_ideal
 from .polyring import Monomial, MPoly, mono_divides, partials
 
 IntPoly = tuple[int, ...]
@@ -123,6 +123,7 @@ class MilnorProfile:
     hilbert: HilbertData
     tau: int | None  # None when f is not reduced: the Tjurina number is infinite
     q_polynomial: IntPoly | None
+    proof: str  # "complete_intersection" or "buchberger": the route to the numerator
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -142,7 +143,16 @@ def _stabilization(dims: list[int]) -> tuple[int | None, int | None]:
 
 @lru_cache(maxsize=MILNOR_CACHE_SIZE)
 def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
-    """Jacobian-quotient profile of a homogeneous polynomial in x, y, z."""
+    """Jacobian-quotient profile of a homogeneous polynomial in x, y, z.
+
+    The numerator comes first from ``complete_intersection_certificate``:
+    one basis of the partials mod a word prime that proves the
+    complete-intersection Hilbert function of its nonzero partials,
+    (1 - t^(d-1))^3 for a smooth curve.  When it proves
+    nothing (a singular or non-reduced curve, or an unlucky prime) the
+    numerator is read from the leading ideal of the exact ``buchberger``
+    basis.  ``proof`` names the route; the numerator is the same either way.
+    """
     if f.nvars != 3:
         raise ValueError("expected a polynomial in x, y, z")
     if f.is_zero() or not f.is_homogeneous():
@@ -154,8 +164,12 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
         kmax = 3 * d
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    gb = buchberger(partials(f))
-    numerator = hilbert_numerator(leading_ideal(gb))
+    gens = partials(f)
+    numerator = complete_intersection_certificate(gens)
+    proof = "complete_intersection"
+    if numerator is None:
+        numerator = hilbert_numerator(leading_ideal(buchberger(gens)))
+        proof = "buchberger"
     tau_degree = 3 * (d - 2) + 1
     dims_full = series_dims(numerator, max(kmax, tau_degree))
     dims = dims_full[: kmax + 1]
@@ -173,6 +187,7 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
         ),
         tau=tau,
         q_polynomial=q2,
+        proof=proof,
     )
 
 

@@ -126,6 +126,26 @@ class TestHilbert:
         assert rep["results"]["tau"] is None
         assert rep["results"]["q_polynomial"] is None
 
+    @pytest.mark.parametrize(
+        "text,proof",
+        [
+            ("x^4 + y^4 + z^4", "complete_intersection"),
+            ("8*x^4+8*y^4-8*x^2*z^2-8*y^2*z^2+2*z^4", "buchberger"),
+            ("x*y*z", "buchberger"),
+            ("x^2*y", "buchberger"),
+        ],
+    )
+    def test_volatile_names_the_proof_and_the_stages(self, capsys, tmp_path, text, proof):
+        from chebcurve import hilbert
+
+        hilbert.milnor_profile.cache_clear()
+        path = tmp_path / "f.poly"
+        path.write_text(text)
+        rep = run_json(capsys, "hilbert", str(path))
+        assert rep["volatile"]["proof"] == proof
+        assert set(rep["volatile"]["timings_ms"]) == {"parse", "profile", "total"}
+        assert "proof" not in rep["results"]
+
 
 class TestBudgets:
     @pytest.fixture
@@ -136,6 +156,7 @@ class TestBudgets:
             raise AssertionError("work started before the budget check")
 
         monkeypatch.setattr(hilbert, "buchberger", refuse)
+        monkeypatch.setattr(hilbert, "complete_intersection_certificate", refuse)
         monkeypatch.setattr(arrangement, "buchberger", refuse)
         monkeypatch.setattr(syzygy, "buchberger", refuse)
         monkeypatch.setattr(linalg, "rank", refuse)

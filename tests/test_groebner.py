@@ -19,6 +19,7 @@ from chebcurve.polyring import (
     parse,
     partials,
 )
+from test_hilbert import _cube_of_one_minus_power
 
 
 def s_polynomial(f: MPoly, g: MPoly) -> MPoly:
@@ -485,6 +486,137 @@ class TestCompleteIntersectionSkip:
         assert skipped == _sympy_reduced_basis(gens, 2)
         monkeypatch.setattr(groebner, "_complete_intersection_numerator", lambda gens: None)
         assert buchberger(gens).elements == skipped
+
+
+def _exact_numerator(gens):
+    return hilbert_numerator(leading_ideal(buchberger(gens)))
+
+
+# L1^d + L2^d + L3^d for independent lines L_i is the Fermat curve in other
+# coordinates: smooth, with partials of Fraction coefficients here
+_FRACTION_LINES = ("1/2*x + y - z", "x - 1/3*y + 2*z", "3/4*x + y + z")
+
+
+class TestCompleteIntersectionCertificate:
+    """One basis mod PRIME proves the complete-intersection numerator
+    exactly when the exact basis gives it, and proves nothing otherwise."""
+
+    def test_prime(self):
+        from chebcurve.groebner import PRIME
+        from chebcurve.linalg import _is_prime
+
+        assert PRIME < 2**30 and _is_prime(PRIME)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_dense_curves(self, d, seed):
+        from chebcurve.groebner import complete_intersection_certificate
+
+        gens = _dense_partials(d, seed)
+        certified = complete_intersection_certificate(gens)
+        if (d, seed) == (3, 1):
+            # this one is a nodal cubic: the route must not close
+            assert certified is None
+            assert _exact_numerator(gens) == (1, 0, -3, 0, 4, -2)
+        else:
+            assert certified == _exact_numerator(gens) == _cube_of_one_minus_power(d - 1)
+
+    def test_fermat12_in_other_coordinates(self):
+        from chebcurve.groebner import complete_intersection_certificate
+
+        gens = _fermat12_partials()
+        assert complete_intersection_certificate(gens) == _exact_numerator(gens)
+        assert complete_intersection_certificate(gens) == _cube_of_one_minus_power(11)
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_fraction_coefficients(self, d):
+        from chebcurve.groebner import complete_intersection_certificate
+
+        gens = partials(sum((parse(l) ** d for l in _FRACTION_LINES), MPoly.zero(3)))
+        assert any(c.denominator > 1 for p in gens for c in p.terms.values())
+        assert complete_intersection_certificate(gens) == _exact_numerator(gens)
+        assert complete_intersection_certificate(gens) == _cube_of_one_minus_power(d - 1)
+
+    def test_two_variables(self):
+        from chebcurve.groebner import complete_intersection_certificate
+
+        gens = [parse("x^3 + x*y^2 - y^3", nvars=2), parse("x^2*y - 2*y^3", nvars=2)]
+        assert complete_intersection_certificate(gens) == (1, 0, 0, -2, 0, 0, 1)
+        assert complete_intersection_certificate(gens) == _exact_numerator(gens)
+
+    @pytest.mark.parametrize("name", sorted(_SPECIAL))
+    def test_singular_inputs_prove_nothing(self, name):
+        from chebcurve.groebner import complete_intersection_certificate
+
+        # every special input but the two partials of T_d misses the bound
+        gens = _SPECIAL[name]
+        certified = complete_intersection_certificate(gens)
+        if name.endswith("-fx-fy"):
+            assert certified == _exact_numerator(gens)
+        else:
+            assert certified is None
+
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_prime_that_kills_a_partial(self, d):
+        from chebcurve.groebner import PRIME, complete_intersection_certificate
+
+        # smooth over Q, but f_z = d*PRIME*z^(d-1) vanishes mod PRIME
+        gens = partials(parse(f"x^{d} + y^{d} + {PRIME}*z^{d}"))
+        assert complete_intersection_certificate(gens) is None
+        assert _exact_numerator(gens) == _cube_of_one_minus_power(d - 1)
+
+    def test_prime_that_makes_the_curve_singular(self):
+        from chebcurve.groebner import PRIME, complete_intersection_certificate
+
+        # the Hesse cubic x^3 + y^3 + z^3 - 3c*x*y*z is singular exactly when
+        # c^3 = 1: c = 1 + PRIME is smooth over Q and singular mod PRIME
+        gens = partials(parse(f"x^3 + y^3 + z^3 - {3 * (1 + PRIME)}*x*y*z"))
+        assert complete_intersection_certificate(gens) is None
+        assert _exact_numerator(gens) == _cube_of_one_minus_power(2)
+
+    @pytest.mark.parametrize("d", [6, 9, 12])
+    def test_stops_at_the_first_degree_above_the_bound(self, d, monkeypatch):
+        from chebcurve import groebner
+        from chebcurve.chebyshev import curve_polynomial
+
+        calls = []
+        reduce = groebner._normal_form_mod
+
+        def counted(terms, basis):
+            calls.append(1)
+            return reduce(terms, basis)
+
+        monkeypatch.setattr(groebner, "_normal_form_mod", counted)
+        gens = partials(curve_polynomial(d))
+        assert groebner.complete_intersection_certificate(gens) is None
+        stopped = len(calls)
+        # run on without stopping: the same loop reduces more S-pairs
+        forms = [groebner._residues(p) for p in groebner._nonzero_forms(gens)]
+        numerator = groebner._complete_intersection_numerator(gens)
+        calls.clear()
+        basis = groebner._pair_loop(forms, 3, numerator, counted, groebner._make_monic)
+        assert stopped < len(calls)
+        assert hilbert_numerator([g.exps for g in basis]) == _exact_numerator(gens)
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [parse(t) for t in ("x^2", "y^2", "z^2", "x*y")],
+            [parse("x^2 - y"), parse("y^2"), parse("z")],
+        ],
+        ids=["four-in-three", "non-homogeneous"],
+    )
+    def test_no_certificate_outside_the_bound(self, gens):
+        from chebcurve.groebner import complete_intersection_certificate
+
+        assert complete_intersection_certificate(gens) is None
+
+    @pytest.mark.parametrize("gens", [[MPoly.zero(3)], [parse("x"), parse("y", nvars=2)]])
+    def test_rejects_what_buchberger_rejects(self, gens):
+        from chebcurve.groebner import complete_intersection_certificate
+
+        with pytest.raises(ValueError):
+            complete_intersection_certificate(gens)
 
 
 @st.composite

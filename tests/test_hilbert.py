@@ -1,7 +1,7 @@
 """Hilbert numerators, Milnor profiles and the closed-form oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebcurve import hilbert
@@ -14,7 +14,8 @@ from chebcurve.hilbert import (
     milnor_profile,
     series_dims,
 )
-from chebcurve.polyring import parse
+from chebcurve.groebner import PRIME
+from chebcurve.polyring import MPoly, monomial_basis, parse, partials
 from chebcurve.syzygy import syzygy_dim_from_hilbert
 
 
@@ -228,6 +229,7 @@ class TestMilnorProfile:
             raise AssertionError("buchberger ran before the input check")
 
         monkeypatch.setattr(hilbert, "buchberger", no_buchberger)
+        monkeypatch.setattr(hilbert, "complete_intersection_certificate", no_buchberger)
         with pytest.raises(ValueError, match="kmax"):
             milnor_profile(curve_polynomial(4), kmax=-1)
 
@@ -235,3 +237,113 @@ class TestMilnorProfile:
         prof = milnor_profile(curve_polynomial(4), kmax=20)
         assert len(prof.dims) == 21
         assert prof.dims[20] == 4
+
+
+class TestCertifiedRoute:
+    """Smooth curves take the complete-intersection certificate mod PRIME;
+    every other input takes the exact basis, with the same numerators."""
+
+    @pytest.fixture
+    def no_buchberger(self, monkeypatch):
+        def refuse(gens):
+            raise AssertionError("the exact basis was computed")
+
+        monkeypatch.setattr(hilbert, "buchberger", refuse)
+        milnor_profile.cache_clear()
+        yield
+        milnor_profile.cache_clear()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [("x + 2*y - z", "x - y + 3*z", "2*x + y + z"), ("1/2*x + y - z", "x - 1/3*y + 2*z", "3/4*x + y + z")],
+        ids=["det3", "fractions"],
+    )
+    @pytest.mark.parametrize("d", [3, 6, 9])
+    def test_smooth_curves_skip_the_exact_basis(self, d, lines, no_buchberger):
+        prof = milnor_profile(sum((parse(line) ** d for line in lines), parse("0")))
+        assert prof.proof == "complete_intersection"
+        assert prof.hilbert.numerator == _cube_of_one_minus_power(d - 1)
+        assert prof.tau == 0
+
+    def test_a_zero_partial(self, no_buchberger):
+        # f_z = 0: the two other partials are a complete intersection, and
+        # the curve is d lines through one point
+        prof = milnor_profile(parse("x^4 + y^4"))
+        assert prof.proof == "complete_intersection"
+        assert prof.hilbert.numerator == (1, 0, 0, -2, 0, 0, 1)
+        assert prof.tau == 9
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"x^{d} + y^{d} + {PRIME}*z^{d}" for d in (3, 4, 5, 6)] + [f"x^3 + y^3 + z^3 - {3 * (1 + PRIME)}*x*y*z"],
+        ids=["kill-fz-3", "kill-fz-4", "kill-fz-5", "kill-fz-6", "hesse"],
+    )
+    def test_unlucky_prime_falls_back(self, text):
+        # smooth over Q, singular mod PRIME
+        f = parse(text)
+        milnor_profile.cache_clear()
+        prof = milnor_profile(f)
+        assert prof.proof == "buchberger"
+        assert prof.hilbert.numerator == _cube_of_one_minus_power(f.degree() - 1)
+        assert prof.tau == 0
+
+    @pytest.mark.parametrize(
+        "text,numerator",
+        [
+            ("x^2*y", (1, 0, -2, 1)),
+            ("x*y*z", (1, 0, -3, 2)),
+            ("y^2*z - x^3 - x^2*z", (1, 0, -3, 0, 4, -2)),
+        ],
+    )
+    def test_singular_curves_take_the_exact_basis(self, text, numerator):
+        milnor_profile.cache_clear()
+        prof = milnor_profile(parse(text))
+        assert prof.proof == "buchberger"
+        assert prof.hilbert.numerator == numerator
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_chebyshev_curves_take_the_exact_basis(self, d):
+        milnor_profile.cache_clear()
+        prof = milnor_profile(curve_polynomial(d))
+        assert prof.proof == "buchberger"
+        assert prof.hilbert.numerator == chebyshev_milnor_numerator(d)
+
+
+def _sympy_dims(f, kmax):
+    """Graded dimensions of S/J_f from the leading monomials of sympy's
+    grevlex basis, counted monomial by monomial."""
+    sympy = pytest.importorskip("sympy")
+    xyz = sympy.symbols("x y z")
+    polys = [
+        sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v**e for v, e in zip(xyz, m)))
+             for m, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+        for p in partials(f)
+        if not p.is_zero()
+    ]
+    basis = sympy.groebner(polys, *xyz, order="grevlex", domain="QQ")
+    leads = [sympy.Poly(g, *xyz).monoms(order="grevlex")[0] for g in basis.exprs]
+    return brute_dims(leads, kmax)
+
+
+@st.composite
+def ternary_forms(draw):
+    """Forms of degree 3 to 5 with coefficients in -3..3: sparse ones are
+    mostly singular, dense ones mostly smooth."""
+    d = draw(st.integers(min_value=3, max_value=5))
+    monos = monomial_basis(d, 3)
+    if draw(st.booleans()):
+        monos = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=6, unique=True))
+    f = MPoly(3, {m: draw(st.integers(min_value=-3, max_value=3)) for m in monos})
+    assume(not f.is_zero())
+    return f
+
+
+class TestSympyOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(ternary_forms())
+    def test_dims_match_sympy(self, f):
+        prof = milnor_profile(f)
+        assert prof.dims == tuple(_sympy_dims(f, len(prof.dims) - 1))
