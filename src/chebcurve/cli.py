@@ -11,9 +11,9 @@ graded resolution, which it runs for degrees up to 8.
 Reports are canonical: keys sorted, integers exact, rationals as "p/q"
 strings, field elements as coefficient arrays with their minimal
 polynomial; timings, and the proof that gave the syzygy counts (quotient
-or koszul) or the Hilbert numerator (complete_intersection or
-buchberger), live under the volatile key so the rest of the payload is
-byte-stable.
+or koszul), the Hilbert numerator (complete_intersection or buchberger)
+or verify's evaluation ranks and relation certificates (mod_p or exact),
+live under the volatile key so the rest of the payload is byte-stable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from . import upoly
 from .arrangement import rationality_test
 from .chebyshev import build, curve_polynomial, verify_nodes
 from .hilbert import chebyshev_milnor_numerator, expected_node_count, milnor_profile
-from .interp import evaluation_kernel_dim, evaluation_thresholds, node_evaluation_surjective
+from .interp import (
+    evaluation_kernel_dim,
+    evaluation_thresholds,
+    grid_ranks,
+    node_evaluation_surjective,
+    node_ranks,
+)
 from .numberfield import AlgNum, SelfCheckError
 from .polyring import MPoly, ParseError, parse, to_string
 from .syzygy import (
@@ -279,7 +285,7 @@ def cmd_rational_test(args) -> int:
     return EXIT_OK
 
 
-def _verify_items(d: int, timings: dict) -> list[dict]:
+def _verify_items(d: int, timings: dict, proof: dict) -> list[dict]:
     items = []
     clock = time.perf_counter()
 
@@ -320,6 +326,7 @@ def _verify_items(d: int, timings: dict) -> list[dict]:
         thresholds == (d - 3, d - 2),
         {"got": list(thresholds), "expected": [d - 3, d - 2]},
     )
+    proof["grid_ranks"] = grid_ranks(d).proof
 
     prof = milnor_profile(curve_polynomial(d))
     numerator = prof.hilbert.numerator
@@ -346,18 +353,23 @@ def _verify_items(d: int, timings: dict) -> list[dict]:
                 "checked_degrees": len(res.syzygy_checks),
             },
         )
+        proof["relation_certificates"] = {c.r: q for c, q in zip(res.rank_checks, res.rank_proofs)}
     item("node_evaluation_surjective", node_evaluation_surjective(d), {})
+    proof["node_ranks"] = node_ranks(d).proof
     return items
 
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
-    items = _verify_items(args.d, timings)
+    proof: dict = {}
+    items = _verify_items(args.d, timings, proof)
     all_pass = all(it["pass"] for it in items)
     results = {"d": args.d, "items": items, "all_pass": all_pass}
     timings["total"] = round((time.perf_counter() - t0) * 1000.0, 3)
-    _emit(_report("verify", {"d": args.d}, results, timings=timings), args)
+    report = _report("verify", {"d": args.d}, results, timings=timings)
+    report["volatile"]["proof"] = proof
+    _emit(report, args)
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 

@@ -21,7 +21,9 @@ prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
 so a nonzero minor mod p lifts to a nonzero minor: rank mod p <= rank.
 A field element sum(num_i * g^i) / den, with int numerators, maps to
 (sum num_i * image(g)^i) * den^-1 mod p, one modular inverse per entry;
-an entry whose den p divides has no image.
+an entry whose den p divides has no image.  ``residue_map`` is that
+reduction, for callers that build their matrices in F_p from reduced
+coefficients, and ``cosine_residues`` gives the images of cos(k*pi/d).
 Every rank is at most min(#nonzero rows, #nonzero columns).  When the
 echelon over F_p reaches that bound, the two bounds meet and the rank is
 proven.  Otherwise, and whenever no reduction applies (p divides a
@@ -35,13 +37,15 @@ reduced modulo the same prime.  ``kernel_certificate`` eliminates A mod p,
 then K restricted to A's u free columns (a kernel vector mod p is fixed by
 its free coordinates, so the restriction keeps rank_p K); when that
 reaches u, every inequality is an equality and rank A = rank_p A,
-rank K = u.  When it falls short and the caller can check a kernel vector
-exactly, the missing vectors are lifted from F_p: the kernel vector mod p
-at a free column comes from A's echelon by back-substitution, and each of
-its entries from ``rational_reconstruction`` (Wang, Guy & Davenport, SIGSAM
-Bull. 1982).  Only a vector whose product with A the caller has proven
-zero over Q joins K, so the sandwich stays a proof.  Callers fall back to
-``rank`` when it does not close.
+rank K = u.  ``kernel_certificate_mod_p`` runs these steps on rows
+already in F_p.  When it falls short and the caller can check a kernel
+vector exactly, the missing vectors are lifted from F_p: the kernel
+vector mod p at a free column comes from A's echelon by
+back-substitution, and each of its entries from
+``rational_reconstruction`` (Wang, Guy & Davenport, SIGSAM Bull. 1982).
+Only a vector whose product with A the caller has proven zero over Q
+joins K, so the sandwich stays a proof.  Callers fall back to ``rank``
+when it does not close.
 
 ``solve_unique``, which needs a solution rather than a rank, runs the
 echelon over the entries' field too.  No floating point anywhere.
@@ -59,6 +63,17 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .numberfield import AlgNum, SelfCheckError, real_cyclotomic_field
 
 Row = dict[int, object]
+
+
+class Proven(tuple):
+    """A tuple of results with ``proof``, the route that proved them:
+    "mod_p" when every rank closed modulo p, "exact" when one took an
+    exact elimination.  It compares and unpacks as the plain tuple."""
+
+    def __new__(cls, values: Iterable, proof: str):
+        self = super().__new__(cls, values)
+        self.proof = proof
+        return self
 
 
 def _entry(v):
@@ -154,23 +169,29 @@ def _modulus(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _generator_image(d: int) -> tuple[int, int]:
-    """(p, image of 2*cos(pi/d) in F_p) for p = _modulus(2d).
-
-    The image is zeta + 1/zeta for a primitive 2d-th root of unity zeta,
-    which exists because 2d divides p - 1.  The minimal polynomial psi of
-    2*cos(pi/d) has integer coefficients and psi(zeta + 1/zeta) =
-    zeta^-h * Phi_2d(zeta) = 0 in F_p, which makes the reduction
-    Q(2*cos(pi/d)) -> F_p a ring homomorphism on the elements whose
-    coefficients have denominators prime to p.  A nonzero value there is
-    an internal fault and raises SelfCheckError.
-    """
+def _root_of_unity(d: int) -> tuple[int, int]:
+    """(p, a primitive 2d-th root of unity zeta in F_p) for p = _modulus(2d)."""
     n = 2 * d
     p = _modulus(n)
     for x in range(2, p):
         zeta = pow(x, (p - 1) // n, p)
         if all(pow(zeta, k, p) != 1 for k in range(1, n)):
-            break
+            return p, zeta
+
+
+@lru_cache(maxsize=None)
+def _generator_image(d: int) -> tuple[int, int]:
+    """(p, image of 2*cos(pi/d) in F_p) for p = _modulus(2d).
+
+    The image is zeta + 1/zeta for the primitive 2d-th root of unity zeta
+    of ``_root_of_unity``, which exists because 2d divides p - 1.  The
+    minimal polynomial psi of 2*cos(pi/d) has integer coefficients and
+    psi(zeta + 1/zeta) = zeta^-h * Phi_2d(zeta) = 0 in F_p, which makes the
+    reduction Q(2*cos(pi/d)) -> F_p a ring homomorphism on the elements
+    whose coefficients have denominators prime to p.  A nonzero value
+    there is an internal fault and raises SelfCheckError.
+    """
+    p, zeta = _root_of_unity(d)
     g = (zeta + pow(zeta, -1, p)) % p
     value = 0
     for c in reversed(real_cyclotomic_field(d).minpoly):
@@ -180,6 +201,21 @@ def _generator_image(d: int) -> tuple[int, int]:
     return p, g
 
 
+def cosine_residues(d: int) -> tuple[int, tuple[int, ...]]:
+    """(p, the images of cos(k*pi/d) in F_p for k = 0..2d-1), p = _modulus(2d).
+
+    cos(k*pi/d) = V_k(g)/2 for g = 2*cos(pi/d) and V_k(t + 1/t) = t^k + t^-k,
+    so the homomorphism of ``_generator_image``, g -> zeta + 1/zeta, sends
+    it to (zeta^k + zeta^-k)/2, read from the powers of zeta.
+    """
+    p, _ = _generator_image(d)
+    _, zeta = _root_of_unity(d)
+    n = 2 * d
+    powers = [pow(zeta, k, p) for k in range(n)]
+    half = (p + 1) // 2
+    return p, tuple((powers[k] + powers[-k % n]) * half % p for k in range(n))
+
+
 def _residue(q: Fraction, p: int) -> int | None:
     den = q.denominator
     if den % p == 0:
@@ -187,23 +223,19 @@ def _residue(q: Fraction, p: int) -> int | None:
     return q.numerator * pow(den, -1, p) % p
 
 
-def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
-    """The rows' image in F_p, with p; None when no reduction applies.
+def residue_map(d: int | None) -> tuple[int, Callable[[object], int | None]]:
+    """(p, the reduction of an entry to F_p): for Fractions alone (d None)
+    p = _modulus(2), for Fractions and elements of Q(2*cos(pi/d))
+    p = _modulus(2d) with the homomorphism of ``_generator_image``.
 
-    Rational rows use p = _modulus(2); rows with entries in Q(2*cos(pi/d))
-    use p = _modulus(2d).  There is no reduction when the entries come
-    from different fields or when p divides a denominator (of a Fraction,
-    or the common one of an AlgNum).
+    An entry whose denominator p divides (a Fraction's, or the common one
+    of an AlgNum) maps to None: it has no image.
     """
-    fields = {v.field.d for row in rows for v in row.values() if isinstance(v, AlgNum)}
-    if len(fields) > 1:
-        return None
-    if fields:
-        d = fields.pop()
-        p, g = _generator_image(d)
-        gpow = [pow(g, i, p) for i in range(real_cyclotomic_field(d).degree)]
-    else:
+    if d is None:
         p = _modulus(2)
+        return p, lambda v: _residue(v, p)
+    p, g = _generator_image(d)
+    gpow = [pow(g, i, p) for i in range(real_cyclotomic_field(d).degree)]
 
     def image(v) -> int | None:
         if not isinstance(v, AlgNum):
@@ -214,6 +246,18 @@ def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
         r = sum(map(mul, v.num, gpow))
         return r % p if v.den == 1 else r * pow(v.den, -1, p) % p
 
+    return p, image
+
+
+def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
+    """The rows' image in F_p under ``residue_map``, with p; None when no
+    reduction applies: the entries come from different fields, or p
+    divides a denominator.
+    """
+    fields = {v.field.d for row in rows for v in row.values() if isinstance(v, AlgNum)}
+    if len(fields) > 1:
+        return None
+    p, image = residue_map(fields.pop() if fields else None)
     # matrices built from a few polynomials repeat the same entry objects
     memo: dict[int, int | None] = {}
     out = []
@@ -327,8 +371,21 @@ def kernel_certificate(
     if reduced is None:
         return None
     residues, p = reduced
+    return kernel_certificate_mod_p(residues[: len(rows)], residues[len(rows) :], p, lift)
+
+
+def kernel_certificate_mod_p(
+    rows: list[dict[int, int]],
+    kernel: list[dict[int, int]],
+    p: int,
+    lift: Callable[[Row], bool] | None = None,
+) -> int | None:
+    """``kernel_certificate`` from the rows of A and K reduced to F_p,
+    sparse rows of residues in 1..p-1.  The caller guarantees that they
+    are the images of A and K, with A * K = 0 exactly, under one ring
+    homomorphism to F_p."""
     echelon = Echelon(p)
-    for row in residues[: len(rows)]:
+    for row in rows:
         echelon.insert(row)
     rank = len(echelon.pivots)
     nullity = len(kernel) - rank
@@ -336,7 +393,7 @@ def kernel_certificate(
     free = [c for c in range(len(kernel)) if c not in echelon.pivots]
     columns: dict[int, dict[int, int]] = {}
     for i, c in enumerate(free):
-        for j, v in residues[len(rows) + c].items():
+        for j, v in kernel[c].items():
             columns.setdefault(j, {})[i] = v
     known = Echelon(p)
     for column in sorted(columns.values(), key=len):

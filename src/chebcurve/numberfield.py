@@ -228,7 +228,16 @@ class AlgNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        if not o.is_rational():
+            return self * o.inverse()
+        # a rational divisor a/b only scales: (num/den) / (a/b) = num*b / (den*a),
+        # with the sign moved into b so that the denominator stays positive
+        a, b = o.num[0], o.den
+        if not a:
+            raise ZeroDivisionError("division of a field element by zero")
+        if a < 0:
+            a, b = -a, -b
+        return _canonical(self.field, tuple(x * b for x in self.num), self.den * a)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

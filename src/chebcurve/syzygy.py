@@ -37,8 +37,10 @@ relation passes an identity check when it is built, and the Koszul ones
 hold trivially, so the columns of the relation matrix R_r are syzygies of
 degree r: J_r R_r = 0 for the Jacobian degree matrix J_r.  Hence
 rank_p R_r <= rank R_r <= syz(r) = ncols J_r - rank J_r <= ncols J_r -
-rank_p J_r, and ``linalg.kernel_certificate`` closes both ranks modulo one
-prime when the ends meet; otherwise they are computed exactly.  So
+rank_p J_r, and the kernel certificate closes both ranks modulo one
+prime when the ends meet; otherwise rank R_r is computed exactly.  J_r
+and R_r are built in F_p, from fx, fy, fz and the relations reduced once
+per coefficient, so the exact R_r is built only for that fallback.  So
 ``verify_resolution`` reads syz(r), r = 0..2d, from the grid ranks, and
 makes one certificate only at each r = d-2..d+2, where it proves rank R_r
 and must give the grid count.
@@ -102,7 +104,6 @@ from .polyring import (
     divide,
     exact_div,
     homogenize,
-    mono_mul,
     monomial_basis,
     partials,
 )
@@ -126,7 +127,8 @@ def macaulay_matrix(
     times c_i of the given degree.  Rows are indexed by (component, monomial
     of that degree), columns by (generator, multiplier monomial), both in
     monomial_basis order.  Entries are the components' coefficients as they
-    are, so rational and Q(2*cos(pi/d)) generators share one matrix.
+    are, so rational and Q(2*cos(pi/d)) generators share one matrix, and a
+    component given as its terms {monomial: residue mod p} gives int rows.
     """
     targets = monomial_basis(degree, nvars=3)
     index = {m: i for i, m in enumerate(targets)}
@@ -134,11 +136,12 @@ def macaulay_matrix(
     rows: list[dict[int, object]] = [{} for _ in range(ncomp * len(targets))]
     col = 0
     for components, e in generators:
-        for u in monomial_basis(e, nvars=3) if e >= 0 else ():
+        for u0, u1, u2 in monomial_basis(e, nvars=3) if e >= 0 else ():
             for k, comp in enumerate(components):
                 offset = k * len(targets)
-                for m, c in comp.terms.items():
-                    rows[offset + index[mono_mul(u, m)]][col] = c
+                terms = comp.terms if isinstance(comp, MPoly) else comp
+                for (a, b, c), v in terms.items():
+                    rows[offset + index[u0 + a, u1 + b, u2 + c]][col] = v
             col += 1
     return rows, col
 
@@ -340,20 +343,45 @@ def relation_matrix(relations: Relations, r: int) -> tuple[list[dict[int, object
     return macaulay_matrix([(rel, r - deg) for rel, deg in relations], r)
 
 
-def relation_module_kernel_dim(d: int, r: int) -> tuple[int, int]:
+def _residue_terms(form: MPoly, image) -> dict | None:
+    """The nonzero residues {monomial: image of the coefficient} of a form,
+    or None when a coefficient has no image."""
+    out = {}
+    for m, c in form.terms.items():
+        v = image(c)
+        if v is None:
+            return None
+        if v:
+            out[m] = v
+    return out
+
+
+def relation_module_kernel_dim(d: int, r: int) -> linalg.Proven:
     """(rank, kernel dim) of assembling polynomial combinations of the
     distinguished relations and the Koszul trio in component degree r.
 
     One kernel certificate of the degree-r Jacobian matrix J_r, whose
     syzygies these columns are, proves rank R_r = syz(r) = ncols J_r -
-    rank J_r; when it does not close, the rank of R_r alone comes from
-    ``linalg.rank``.
+    rank J_r.  Both matrices are built in F_p, from the partials and the
+    relations reduced once per coefficient by ``linalg.residue_map``;
+    the exact R_r is built only when that does not close, for the rank of
+    R_r alone from ``linalg.rank``.  The result's ``proof`` names the
+    route: "mod_p" or "exact".
     """
-    jac, ncols = jacobian_degree_matrix(curve_polynomial(d), r)
-    kernel, nrel = relation_matrix(chebyshev_relations(d), r)
-    rank = linalg.kernel_certificate(jac, kernel)
-    rank_rel = linalg.rank(kernel) if rank is None else ncols - rank
-    return rank_rel, nrel - rank_rel
+    relations = chebyshev_relations(d)
+    p, image = linalg.residue_map(d)
+    grads = [_residue_terms(g, image) for g in partials(curve_polynomial(d))]
+    rels = [(tuple(_residue_terms(c, image) for c in rel), deg) for rel, deg in relations]
+    rank = None
+    if None not in grads and all(None not in rel for rel, _ in rels):
+        jac, ncols = macaulay_matrix([((g,), r) for g in grads], r + d - 1)
+        kernel, nrel = macaulay_matrix([(rel, r - deg) for rel, deg in rels], r)
+        rank = linalg.kernel_certificate_mod_p(jac, kernel, p)
+    if rank is None:
+        exact, nrel = relation_matrix(relations, r)
+        rank_rel = linalg.rank(exact)
+        return linalg.Proven((rank_rel, nrel - rank_rel), "exact")
+    return linalg.Proven((ncols - rank, nrel - ncols + rank), "mod_p")
 
 
 def expected_relation_kernel_dim(d: int, r: int) -> int:
@@ -382,6 +410,8 @@ class ResolutionReport:
     first_syzygy_count: int
     rank_checks: tuple[DegreeCheck, ...]
     kernel_checks: tuple[DegreeCheck, ...]
+    # the proof of each rank check's relation certificate: "mod_p" or "exact"
+    rank_proofs: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -412,6 +442,7 @@ def verify_resolution(d: int) -> ResolutionReport:
     syz_checks = []
     rank_checks = []
     kernel_checks = []
+    rank_proofs = []
     first_degree = None
     first_count = 0
     for r in range(2 * d + 1):
@@ -422,9 +453,11 @@ def verify_resolution(d: int) -> ResolutionReport:
             first_count = got
         if d - 2 <= r <= d + 2:
             # building the relations raises unless each holds identically
-            rank, ker = relation_module_kernel_dim(d, r)
+            certified = relation_module_kernel_dim(d, r)
+            rank, ker = certified
             rank_checks.append(DegreeCheck(r=r, got=rank, expected=got))
             kernel_checks.append(DegreeCheck(r=r, got=ker, expected=expected_relation_kernel_dim(d, r)))
+            rank_proofs.append(certified.proof)
     return ResolutionReport(
         d=d,
         syzygy_checks=tuple(syz_checks),
@@ -432,4 +465,5 @@ def verify_resolution(d: int) -> ResolutionReport:
         first_syzygy_count=first_count,
         rank_checks=tuple(rank_checks),
         kernel_checks=tuple(kernel_checks),
+        rank_proofs=tuple(rank_proofs),
     )

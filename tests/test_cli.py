@@ -408,6 +408,41 @@ class TestVerify:
         rep = run_json(capsys, "verify", "-d", "3")
         assert rep["results"]["all_pass"] is True
 
+    def test_volatile_names_each_proof(self, capsys):
+        rep = run_json(capsys, "verify", "-d", "5")
+        assert rep["volatile"]["proof"] == {
+            "grid_ranks": "mod_p",
+            "node_ranks": "mod_p",
+            "relation_certificates": {str(r): "mod_p" for r in range(3, 8)},
+        }
+        assert "proof" not in rep["results"]
+        rep = run_json(capsys, "verify", "-d", "9")
+        assert rep["volatile"]["proof"] == {"grid_ranks": "mod_p", "node_ranks": "mod_p"}
+
+    def test_exact_fallbacks_change_only_the_proof(self, capsys, monkeypatch):
+        from chebcurve import interp, linalg
+
+        def clear():
+            interp.grid_ranks.cache_clear()
+            interp.node_ranks.cache_clear()
+
+        clear()
+        proven = run_json(capsys, "verify", "-d", "4")
+        clear()
+        residues = linalg.cosine_residues
+        monkeypatch.setattr(linalg, "cosine_residues", lambda d: (residues(d)[0], (0,) * (2 * d)))
+        monkeypatch.setattr(linalg, "kernel_certificate_mod_p", lambda rows, kernel, p, lift=None: None)
+        try:
+            exact = run_json(capsys, "verify", "-d", "4")
+        finally:
+            clear()
+        assert exact["results"] == proven["results"]
+        assert exact["volatile"]["proof"] == {
+            "grid_ranks": "exact",
+            "node_ranks": "exact",
+            "relation_certificates": {str(r): "exact" for r in range(2, 7)},
+        }
+
     def test_out_of_range_degree(self, capsys):
         rc, _, _ = run(capsys, "verify", "-d", "11")
         assert rc == 2

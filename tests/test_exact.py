@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chebcurve import upoly
@@ -306,6 +306,40 @@ class TestIntegerVectorElements:
         for zero in (a - a, a * 0, field.element([]), field.zero()):
             assert zero.num == (0, 0, 0) and zero.den == 1
             assert zero == 0 and hash(zero) == hash(0)
+
+    @settings(max_examples=60)
+    @given(field_pairs(), st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    def test_rational_division_matches_the_inverse(self, pair, q):
+        # an int, Fraction or rational-element divisor only scales the
+        # numerators; the general route inverts it by xgcd
+        assume(q)
+        field, ra, _ = pair
+        a = field.element(ra)
+        for divisor in (q, -q, q.numerator, -q.numerator):
+            got = a / divisor
+            _assert_canonical(got)
+            assert got == a * field.from_rational(divisor).inverse()
+        assert a / field.from_rational(q) == a * field.from_rational(q).inverse()
+
+    def test_division_by_zero_raises(self):
+        field = real_cyclotomic_field(7)
+        a = field.element([1, -2, 3])
+        for zero in (0, Fraction(0), field.zero()):
+            with pytest.raises(ZeroDivisionError):
+                a / zero
+
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_relations_match_the_inverse_route(self, monkeypatch, d):
+        # the distinguished relations divide by rational leading
+        # coefficients; dividing through the inverse gives the same strings
+        from chebcurve.chebyshev import minus_conics
+        from chebcurve.syzygy import nontrivial_syzygy
+
+        js = range(1, len(minus_conics(d)) + 1)
+        scaled = [[str(c) for c in nontrivial_syzygy.__wrapped__(d, j)] for j in js]
+        monkeypatch.setattr(AlgNum, "__truediv__", lambda a, b: a * a._coerce(b).inverse())
+        assert [[str(c) for c in nontrivial_syzygy.__wrapped__(d, j)] for j in js] == scaled
+
 
 class TestUPoly:
     def test_divmod_roundtrip(self):

@@ -403,17 +403,17 @@ class TestCertificate:
             return got
 
         monkeypatch.setattr(linalg, "rank", checked_rank)
-        ranks = interp.grid_ranks.__wrapped__(d)
         f = curve_polynomial(d)
         for r in range(2 * d + 1):
             syzygy.syzygy_dim(f, r)
         for r in range(d - 2, d + 3):
             syzygy.relation_module_kernel_dim(d, r)
-        assert len(certified) >= d - 1
-        # grid_ranks stops eliminating at the surjective degree d-2; the
-        # ranks it reads off the point count are checked here directly
-        for r in (d - 1, d):
-            assert ranks[r] == sympy_rank(interp.grid_matrix(d, r))
+        # the grid ranks are proven mod p in the Chebyshev basis without
+        # linalg.rank; the exact monomial grid matrices are full rank in
+        # every degree up to d, and their certified ranks are the same
+        ranks = interp.grid_ranks.__wrapped__(d)
+        assert [checked_rank(interp.grid_matrix(d, r)) for r in range(d + 1)] == list(ranks[: d + 1])
+        assert len(certified) >= d + 1
 
 
 class TestEchelonModP:

@@ -105,14 +105,18 @@ class TestMacaulayMatrix:
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_relation_module_matrix(self, monkeypatch, d):
+        # the exact R_r of the fallback against MPoly arithmetic, and the
+        # matrices the certificate eliminates are the images of the exact
+        # J_r and R_r in F_p, entry by entry
         captured = []
-        certificate = linalg.kernel_certificate
+        certificate = linalg.kernel_certificate_mod_p
 
-        def capture(matrix, kernel_rows, lift=None):
-            captured.append(kernel_rows)
-            return certificate(matrix, kernel_rows, lift)
+        def capture(rows, kernel, p, lift=None):
+            captured.append((rows, kernel))
+            return certificate(rows, kernel, p, lift)
 
-        monkeypatch.setattr(linalg, "kernel_certificate", capture)
+        monkeypatch.setattr(linalg, "kernel_certificate_mod_p", capture)
+        _, image = linalg.residue_map(d)
         field = real_cyclotomic_field(d)
         fx, fy, fz = (p.map_coefficients(field.from_rational) for p in partials(curve_polynomial(d)))
         zero = MPoly.zero(3)
@@ -123,9 +127,14 @@ class TestMacaulayMatrix:
         for r in range(d - 2, d + 3):
             captured.clear()
             rk, ker = relation_module_kernel_dim(d, r)
-            (rows,) = captured
+            ((jac_p, kernel_p),) = captured
             gens = [(rel, r - deg) for rel, deg in zip(rels, degrees)]
-            check_against_mpoly(rows, rk + ker, gens, r, seed=r)
+            rows, ncols = relation_matrix(chebyshev_relations(d), r)
+            assert ncols == rk + ker
+            check_against_mpoly(rows, ncols, gens, r, seed=r)
+            jac, _ = jacobian_degree_matrix(curve_polynomial(d), r)
+            for exact, residues in ((jac, jac_p), (rows, kernel_p)):
+                assert residues == [{c: image(v) for c, v in row.items() if image(v)} for row in exact]
 
 
 class TestSyzygyDim:
@@ -203,6 +212,37 @@ class TestSecondLevel:
             assert ker == expected_relation_kernel_dim(d, r)
             assert rank == syzygy_dim(curve_polynomial(d), r)
 
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_residue_route_matches_the_exact_matrices(self, d):
+        # the certificate on the exact J_r and R_r, reduced entry by entry,
+        # with linalg.rank where it does not close, as the oracle
+        f = curve_polynomial(d)
+        relations = chebyshev_relations(d)
+        for r in range(d - 2, d + 3):
+            jac, ncols = jacobian_degree_matrix(f, r)
+            kernel, nrel = relation_matrix(relations, r)
+            rank = linalg.kernel_certificate(jac, kernel)
+            rank_rel = linalg.rank(kernel) if rank is None else ncols - rank
+            assert relation_module_kernel_dim(d, r) == (rank_rel, nrel - rank_rel)
+
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_certificates_close_without_the_exact_relation_matrix(self, monkeypatch, d):
+        monkeypatch.setattr(syzygy, "relation_matrix", refuse)
+        monkeypatch.setattr(linalg, "rank", refuse)
+        for r in range(d - 2, d + 3):
+            assert relation_module_kernel_dim(d, r).proof == "mod_p"
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_coefficients_without_image_fall_back(self, monkeypatch, d):
+        # with no coefficient reducible the exact R_r is built and ranked
+        # exactly, and the answers stay the same
+        want = [relation_module_kernel_dim(d, r) for r in range(d - 2, d + 3)]
+        p, _ = linalg.residue_map(d)
+        monkeypatch.setattr(linalg, "residue_map", lambda d: (p, lambda v: None))
+        got = [relation_module_kernel_dim(d, r) for r in range(d - 2, d + 3)]
+        assert got == want
+        assert [x.proof for x in got] == ["exact"] * 5
+
 
 def exact_rank(rows) -> int:
     rows = [r for r in linalg._to_rows(rows) if r]
@@ -268,14 +308,16 @@ class TestVerifyResolution:
         # the grid ranks give syz(r) in every degree; one certificate at
         # each r = d-2..d+2 proves the relation-module rank there
         calls = []
-        certificate = linalg.kernel_certificate
+        certificate = linalg.kernel_certificate_mod_p
 
-        def counted(matrix, kernel_rows, lift=None):
-            calls.append(len(kernel_rows))
-            return certificate(matrix, kernel_rows, lift)
+        def counted(rows, kernel, p, lift=None):
+            calls.append(len(kernel))
+            return certificate(rows, kernel, p, lift)
 
-        monkeypatch.setattr(linalg, "kernel_certificate", counted)
-        assert verify_resolution(d).ok
+        monkeypatch.setattr(linalg, "kernel_certificate_mod_p", counted)
+        report = verify_resolution(d)
+        assert report.ok
+        assert report.rank_proofs == ("mod_p",) * 5
         assert calls == [3 * (r + 2) * (r + 1) // 2 for r in range(d - 2, d + 3)]
 
     @pytest.mark.parametrize("d", range(3, 13))
@@ -307,9 +349,10 @@ class TestVerifyResolution:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_exact_path_gives_the_same_report(self, monkeypatch, d):
         proven = verify_resolution(d)
-        monkeypatch.setattr(linalg, "kernel_certificate", lambda matrix, kernel_rows, lift=None: None)
+        monkeypatch.setattr(linalg, "kernel_certificate_mod_p", lambda rows, kernel, p, lift=None: None)
         exact = verify_resolution(d)
         assert exact.ok
+        assert proven.rank_proofs == ("mod_p",) * 5 and exact.rank_proofs == ("exact",) * 5
         assert exact.syzygy_checks == proven.syzygy_checks
         assert exact.rank_checks == proven.rank_checks
         assert exact.kernel_checks == proven.kernel_checks
@@ -328,7 +371,7 @@ class TestVerifyResolution:
             ranked.append(len(rows))
             return rank(rows)
 
-        monkeypatch.setattr(linalg, "kernel_certificate", lambda matrix, kernel_rows, lift=None: None)
+        monkeypatch.setattr(linalg, "kernel_certificate_mod_p", lambda rows, kernel, p, lift=None: None)
         monkeypatch.setattr(linalg, "rank", counted)
         assert verify_resolution(d).ok
         assert ranked == [3 * dim_forms(r) for r in range(d - 2, d + 3)]
