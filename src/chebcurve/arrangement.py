@@ -18,6 +18,15 @@ point lies at infinity; a disagreement is a failed self-check.
 Reducedness needs no gcd: in characteristic 0 a homogeneous f is reduced
 exactly when its singular locus is finite, which the Hilbert numerator of
 the Milnor algebra already shows.
+
+The chart needs no basis of its own: the elements g(x, y, 1) of the exact
+basis G of the partials, which ``milnor_profile`` keeps, are a Groebner
+basis of the chart ideal.  In grevlex with z last, monomials x^a y^b z^c
+of one degree compare by a + b, then by the smaller b, which is grevlex on
+x^a y^b, so LM(g(x, y, 1)) = LM(g)(x, y, 1).  An h in the chart ideal has
+some F = z^k * h^hom among the forms of the ideal of the partials; then
+LM(h) = LM(F)(x, y, 1), which LM(g)(x, y, 1) divides for a g whose LM
+divides LM(F).
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, upoly
-from .groebner import GroebnerBasis, buchberger, leading_ideal, normal_form
-from .hilbert import milnor_profile
+from .groebner import PRIME, GroebnerBasis, buchberger, leading_ideal, multiple_rows, normal_form
+from .hilbert import MilnorProfile, milnor_profile
 from .numberfield import SelfCheckError
 from .polyring import Monomial, MPoly, dehomogenize, partials
 
@@ -60,11 +69,6 @@ def _standard_monomials(lead: tuple[Monomial, ...]) -> list[Monomial] | None:
     return out
 
 
-def _row(p: MPoly, index: dict[Monomial, int]) -> dict[int, Fraction]:
-    """A normal form as a sparse row over the standard monomials."""
-    return {index[m]: c for m, c in p.terms.items()}
-
-
 def _multiples(p: MPoly, monomials: list[Monomial], gb: GroebnerBasis) -> dict[Monomial, MPoly]:
     """NF(p * m) for each monomial m of a set closed under division.
 
@@ -86,8 +90,17 @@ def _multiples(p: MPoly, monomials: list[Monomial], gb: GroebnerBasis) -> dict[M
     return out
 
 
-def _chart_point_count(f: MPoly, tau: int, at_infinity: int) -> int:
-    """Distinct singular points of f = 0 in the chart z = 1.
+def _chart_basis(f: MPoly, G: GroebnerBasis | None) -> GroebnerBasis:
+    """The Groebner basis g(x, y, 1) of the chart ideal, g in the exact basis
+    G of the partials (see the module docstring).  Only a cone, with a zero
+    partial, proves tau > 0 with no exact basis; its G is made here."""
+    G = G or buchberger(partials(f))
+    return GroebnerBasis(tuple(map(dehomogenize, G.elements)))
+
+
+def _chart_point_count(f: MPoly, prof: MilnorProfile, at_infinity: int) -> int:
+    """Distinct singular points of f = 0 in the chart z = 1, from the
+    Milnor profile of f.
 
     By Euler's relation the chart ideal I of the partials at z = 1 is
     (F, F_x, F_y) for F = f(x, y, 1), so its n standard monomials number
@@ -100,15 +113,19 @@ def _chart_point_count(f: MPoly, tau: int, at_infinity: int) -> int:
     vanish there, so every point is a node, and there are n of them,
     exactly when the Hessian is a unit in A = Q[x, y]/I.  By
     Stickelberger's theorem that holds exactly when its n x n
-    multiplication matrix has full rank.  Otherwise the points are counted
+    multiplication matrix has full rank, which its rows from
+    ``multiple_rows`` prove mod p (rank mod p <= rank <= n); anything less
+    takes the exact rank.  Otherwise the points are counted
     by Hermite's trace form (a, b) -> Tr(m_ab) on A, whose rank is the
     number of distinct points of V(I) (Pedersen, Roy & Szpirglas 1993): its
     entry at standard monomials s_i, s_j is the trace of NF(s_i s_j), and
     the trace of m_s for a standard monomial s sums the coefficients of s'
     in NF(s s') over the standard monomials s'.
     """
-    gb = buchberger(dehomogenize(p) for p in partials(f))
-    standard = _standard_monomials(leading_ideal(gb))
+    tau = prof.tau
+    # tau = 0: no singular point, and no basis to read it from
+    gb = _chart_basis(f, prof.basis) if tau else None
+    standard = _standard_monomials(leading_ideal(gb)) if tau else []
     if standard is None or len(standard) > tau:
         raise SelfCheckError("the chart's Tjurina count exceeds the curve's")
     n = len(standard)
@@ -116,11 +133,17 @@ def _chart_point_count(f: MPoly, tau: int, at_infinity: int) -> int:
         raise SelfCheckError("the chart holds all of tau, yet a singular point lies at infinity")
     if n < tau and not at_infinity:
         raise SelfCheckError("the chart misses part of tau, yet no singular point lies at infinity")
+    if not n:
+        return 0
     fx, fy = (dehomogenize(f).derivative(v) for v in (0, 1))
     fxy = fx.derivative(1)
-    hessian = _multiples(fx.derivative(0) * fy.derivative(1) - fxy * fxy, standard, gb)
+    hessian = fx.derivative(0) * fy.derivative(1) - fxy * fxy
+    echelon = linalg.Echelon(PRIME)
+    if all(echelon.insert(row) for row in multiple_rows(gb, hessian, standard)):
+        return n
     index = {m: i for i, m in enumerate(standard)}
-    if linalg.rank(_row(p, index) for p in hessian.values()) == n:
+    exact = _multiples(hessian, standard, gb).values()
+    if linalg.rank({index[m]: c for m, c in p.terms.items()} for p in exact) == n:
         return n
     doubled = sorted({(a + c, b + e) for a, b in standard for c, e in standard})
     products = _multiples(MPoly.constant(Fraction(1), 2), doubled, gb)
@@ -172,11 +195,12 @@ def count_distinct_singular_points(f: MPoly) -> int:
     """
     if f.nvars != 3:
         raise ValueError("expected a polynomial in x, y, z")
-    tau = milnor_profile(f).tau
+    prof = milnor_profile(f)
+    tau = prof.tau
     if tau is None:
         raise SingularLocusError("the singular locus is not finite: the curve is not reduced")
     at_infinity = _points_at_infinity(f)
-    count = _chart_point_count(f, tau, at_infinity) + at_infinity
+    count = _chart_point_count(f, prof, at_infinity) + at_infinity
     if count > tau:
         raise SelfCheckError("more distinct singular points than the Tjurina number")
     return count

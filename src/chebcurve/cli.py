@@ -14,15 +14,20 @@ polynomial; timings, and the proof that gave the syzygy counts (quotient
 or koszul), the Hilbert numerator (complete_intersection or buchberger)
 or verify's evaluation ranks and relation certificates (mod_p or exact),
 live under the volatile key so the rest of the payload is byte-stable.
+
+``parse_args`` reads argv from one table, COMMANDS, which also gives the
+-h usage.  Options take their exact names, as --opt value or --opt=value,
+before or after the file; any other malformed argv writes one error line
+to stderr, nothing to stdout, and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import upoly
 from .arrangement import rationality_test
@@ -373,78 +378,97 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY_FAILED
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--out", default=None, help="write the report to a file")
+def _arg(lo: int = 0, hi: int | None = None, choices: tuple[str, ...] = ()):
+    """An option's converter, to one of choices or else to an int in lo..hi, and its usage."""
+    usage = "|".join(choices) or (f"{lo}..{hi}" if hi is not None else "N")
+    rule = f"one of {usage}" if choices else f"at least {lo}" if hi is None else f"in {usage}"
 
-
-def _int_arg(lo: int, hi: int | None = None):
-    def check(text: str) -> int:
+    def check(name: str, text: str):
+        if text in choices:
+            return text
         try:
-            v = int(text)
+            v = None if choices else int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if v < lo or (hi is not None and v > hi):
-            raise argparse.ArgumentTypeError(
-                f"must be in {lo}..{hi}" if hi is not None else f"must be at least {lo}"
-            )
+            v = None
+        if v is None or v < lo or (hi is not None and v > hi):
+            raise ValueError(f"{name} must be {rule}, got {text!r}")
         return v
 
-    return check
+    return check, usage
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chebcurve",
-        description="Exact Chebyshev curve toolkit: Milnor algebras, Hilbert series, "
-        "syzygies and the rational-arrangement certificate.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()
+_FILE = {"file": (None, "FILE", _REQUIRED)}
+_COMMON = {"--format": (*_arg(choices=("json", "text")), "json"), "--out": (None, "FILE", None)}
+_DEGREE = {"-d": (*_arg(3, VERIFY_MAX_D), _REQUIRED)}
+# command -> (handler, summary, {argument: (converter or None for text, usage, default)});
+# "file" is positional, and every command also takes the _COMMON options
+COMMANDS = {
+    "gen": (cmd_gen, "emit curve data and factorizations", {
+        "-d": (*_arg(3, MAX_INPUT_DEGREE), _REQUIRED),
+        "--sign": (*_arg(choices=("plus", "minus")), "plus"),
+    }),
+    "hilbert": (cmd_hilbert, "Milnor algebra Hilbert data of a polynomial file",
+                {**_FILE, "--kmax": (*_arg(), None)}),
+    "syzygy": (cmd_syzygy, "per-degree syzygy dimensions of a polynomial file",
+               {**_FILE, "--rmax": (*_arg(), None)}),
+    "interp": (cmd_interp, "node-grid evaluation thresholds", _DEGREE),
+    "rational-test": (cmd_rational_test, "rational-arrangement certificate of a curve file", _FILE),
+    "verify": (cmd_verify, "run the full verification bundle for degree d", _DEGREE),
+}
 
-    p = sub.add_parser("gen", help="emit curve data and factorizations")
-    p.add_argument("-d", type=_int_arg(3, MAX_INPUT_DEGREE), required=True)
-    p.add_argument("--sign", choices=("plus", "minus"), default="plus")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("hilbert", help="Milnor algebra Hilbert data of a polynomial file")
-    p.add_argument("file")
-    p.add_argument("--kmax", type=_int_arg(0), default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_hilbert)
+def usage(*commands: str) -> str:
+    """The -h text of the commands, read from COMMANDS."""
+    lines = []
+    for command in commands:
+        words = ["usage: chebcurve", command]
+        _, summary, options = COMMANDS[command]
+        for name, (_, text, default) in {**options, **_COMMON}.items():
+            word = text if name == "file" else f"{name} {text}"
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines += [" ".join(words), f"    {summary}"]
+    return "\n".join(lines + ["", "An option also reads as --option=value."]) + "\n"
 
-    p = sub.add_parser("syzygy", help="per-degree syzygy dimensions of a polynomial file")
-    p.add_argument("file")
-    p.add_argument("--rmax", type=_int_arg(0), default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_syzygy)
 
-    p = sub.add_parser("interp", help="node-grid evaluation thresholds")
-    p.add_argument("-d", type=_int_arg(3, VERIFY_MAX_D), required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_interp)
-
-    p = sub.add_parser("rational-test", help="rational-arrangement certificate for a curve file")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(func=cmd_rational_test)
-
-    p = sub.add_parser("verify", help="run the full verification bundle for degree d")
-    p.add_argument("-d", type=_int_arg(3, VERIFY_MAX_D), required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+def parse_args(argv: list[str]):
+    """(handler, arguments) for argv, or the usage text when argv holds -h or --help;
+    ValueError, with the text of the error line, when argv is malformed."""
+    command, *tokens = argv or [""]
+    if "-h" in argv or "--help" in argv:
+        return usage(command) if command in COMMANDS else usage(*COMMANDS)
+    if command not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    func, _, options = COMMANDS[command]
+    options = {**options, **_COMMON}
+    values = {name: spec[2] for name, spec in options.items()}
+    tokens = iter(tokens)
+    for token in tokens:
+        positional = token[:1] != "-" or token == "-"
+        name, eq, value = ("file", "=", token) if positional else token.partition("=")
+        if name not in options or (positional and values[name] is not _REQUIRED):
+            raise ValueError(f"unexpected argument {token!r} for {command}")
+        if (value := value if eq else next(tokens, None)) is None:
+            raise ValueError(f"{name} expects a value")
+        convert = options[name][0]
+        values[name] = convert(name, value) if convert else value
+    if missing := [name for name, v in values.items() if v is _REQUIRED]:
+        raise ValueError(f"{command} needs {missing[0]}")
+    return func, SimpleNamespace(**{name.lstrip("-"): v for name, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
+        parsed = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT_ERROR
+    if isinstance(parsed, str):
+        sys.stdout.write(parsed)
+        return EXIT_OK
+    func, args = parsed
     try:
-        return args.func(args)
+        return func(args)
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR

@@ -480,34 +480,46 @@ def normal_form(p: MPoly, G: GroebnerBasis) -> MPoly:
     return MPoly(p.nvars, {grevlex_unpack(-k, p.nvars): c / scale for k, c in rem.items()})
 
 
+def multiple_rows(G: GroebnerBasis, h: MPoly, monomials, rows=None):
+    """Yields a nonzero integer multiple of NF(h*m), with the loop's packed
+    keys, for each monomial m of a set closed under division, in its order.
+
+    m = v*m' for v the last variable of m, and the row of m is
+    NF(v * row of m'): a normal form of a low-degree polynomial.  m' comes
+    before m or is a key of ``rows``, a dict of rows already made that
+    gains each new one.  When ``G.z_free``, the row of z*m' is exactly the
+    row of m' times z.  The rows have the rank of the exact normal forms,
+    and their residues mod p at most that rank.
+    """
+    nvars = G.elements[0].nvars
+    steps = [-grevlex_pack(tuple(int(i == v) for i in range(nvars))) for v in range(nvars)]
+    rows = {} if rows is None else rows
+    for m in monomials:
+        v = max((i for i, e in enumerate(m) if e), default=None)
+        if v is None:
+            rows[m] = _normal_form_int(_packed(primitive(h.terms)), G._primitive)
+        else:
+            parent = rows[tuple(e - (i == v) for i, e in enumerate(m))]
+            row = {k + steps[v]: c for k, c in parent.items()}
+            rows[m] = row if v == 2 and G.z_free else _normal_form_int(row, G._primitive)
+        yield rows[m]
+
+
 def multiplication_rows(G: GroebnerBasis, h: MPoly, top: int):
     """Multiplication by the form h on Q = S/I, I the ideal of the basis,
     from Q_r to Q_(r + deg h), for r = 0..top, in the standard monomials.
 
     Yields one dict per degree r, from each standard monomial m of degree r
     (one that no leading monomial divides), in ``monomial_basis`` order, to
-    its row: a nonzero integer multiple of NF(h*m), with the loop's packed
-    keys.  The standard monomials are closed under division, so m = v*m'
-    for a variable v and a standard m', and the row of m is NF(v * row of
-    m'): a normal form of at most dim Q_(r + deg h - 1) terms.  When
-    ``G.z_free``, the row of z*m' is exactly the row of m' times z.
+    its row from ``multiple_rows``.  The standard monomials are closed under
+    division, so each row is a normal form of at most dim Q_(r + deg h - 1)
+    terms, made from the row one degree down.
     """
-    basis = G._primitive
-    leads = [g.exps for g in basis]
-    steps = [-grevlex_pack(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    leads = [g.exps for g in G._primitive]
     rows: dict[Monomial, dict[int, int]] = {}
     for r in range(top + 1):
-        parents, rows = rows, {}
-        for m in monomial_basis(r, nvars=3):
-            if any(mono_divides(e, m) for e in leads):
-                continue
-            if not r:
-                rows[m] = _normal_form_int(_packed(primitive(h.terms)), basis)
-                continue
-            v = 2 if m[2] else 1 if m[1] else 0
-            parent = parents[tuple(e - (i == v) for i, e in enumerate(m))]
-            row = {k + steps[v]: c for k, c in parent.items()}
-            rows[m] = row if v == 2 and G.z_free else _normal_form_int(row, basis)
+        standard = [m for m in monomial_basis(r, 3) if not any(mono_divides(e, m) for e in leads)]
+        rows = dict(zip(standard, multiple_rows(G, h, standard, dict(rows))))
         yield rows
 
 

@@ -15,12 +15,12 @@ For the Chebyshev curve the paper's free resolution is stated once, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
 from . import upoly
-from .groebner import buchberger, complete_intersection_certificate, leading_ideal
+from .groebner import GroebnerBasis, buchberger, complete_intersection_certificate, leading_ideal
 from .polyring import Monomial, MPoly, mono_divides, partials
 
 IntPoly = tuple[int, ...]
@@ -124,6 +124,8 @@ class MilnorProfile:
     tau: int | None  # None when f is not reduced: the Tjurina number is infinite
     q_polynomial: IntPoly | None
     proof: str  # "complete_intersection" or "buchberger": the route to the numerator
+    # the exact basis of the partials on the buchberger route, None on the other
+    basis: GroebnerBasis | None = field(default=None, compare=False, repr=False)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -152,6 +154,8 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
     nothing (a singular or non-reduced curve, or an unlucky prime) the
     numerator is read from the leading ideal of the exact ``buchberger``
     basis.  ``proof`` names the route; the numerator is the same either way.
+    The exact basis is kept as ``basis``, the one the singular-point count
+    reads its chart from; the complete-intersection route has none.
     """
     if f.nvars != 3:
         raise ValueError("expected a polynomial in x, y, z")
@@ -166,9 +170,10 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
         raise ValueError("kmax must be non-negative")
     gens = partials(f)
     numerator = complete_intersection_certificate(gens)
-    proof = "complete_intersection"
+    proof, basis = "complete_intersection", None
     if numerator is None:
-        numerator = hilbert_numerator(leading_ideal(buchberger(gens)))
+        basis = buchberger(gens)
+        numerator = hilbert_numerator(leading_ideal(basis))
         proof = "buchberger"
     tau_degree = 3 * (d - 2) + 1
     dims_full = series_dims(numerator, max(kmax, tau_degree))
@@ -188,6 +193,7 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
         tau=tau,
         q_polynomial=q2,
         proof=proof,
+        basis=basis,
     )
 
 

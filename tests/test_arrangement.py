@@ -15,8 +15,10 @@ from chebcurve.arrangement import (
     rationality_test,
 )
 from chebcurve.chebyshev import curve_polynomial
+from chebcurve.groebner import buchberger, leading_ideal, multiple_rows, normal_form
+from chebcurve.hilbert import expected_node_count, milnor_profile
 from chebcurve.numberfield import SelfCheckError
-from chebcurve.polyring import MPoly, parse
+from chebcurve.polyring import MPoly, dehomogenize, grevlex_unpack, parse, partials
 
 
 class TestIsReduced:
@@ -132,17 +134,23 @@ class TestSingularPointCount:
             assert count_distinct_singular_points(f.evaluate(images)) == count
 
     def test_one_groebner_basis_on_t5(self, monkeypatch):
-        # tau rules out points at infinity, so only the chart basis is computed
+        # the chart's basis is read from the Jacobian basis milnor_profile
+        # computed, so the count computes no basis of its own
+        from chebcurve import hilbert
+
         calls = []
-        buchberger = arrangement.buchberger
+        buchberger = hilbert.buchberger
 
         def counted(ideal):
-            calls.append(ideal)
-            return buchberger(ideal)
+            calls.append(tuple(ideal))
+            return buchberger(calls[-1])
 
+        monkeypatch.setattr(hilbert, "buchberger", counted)
         monkeypatch.setattr(arrangement, "buchberger", counted)
+        hilbert.milnor_profile.cache_clear()
         assert count_distinct_singular_points(curve_polynomial(5)) == 8
         assert len(calls) == 1
+        assert [p.nvars for p in calls[0]] == [3, 3, 3]
 
     def test_chart_count_above_tau_fails_self_check(self, monkeypatch):
         profile = arrangement.milnor_profile
@@ -296,8 +304,9 @@ class TestHessianCertificate:
 
     @pytest.mark.parametrize("f", CORPUS)
     def test_radical_path_agrees(self, f, monkeypatch):
-        # the Hessian's rank is the count's first rank: failing it alone
-        # forces the trace form on the same chart
+        # failing both Hessian certificates, the rows mod p (all zero here)
+        # and then the exact rank, the count's first rank, forces the trace
+        # form on the same chart
         expected = count_distinct_singular_points(f)
         calls = []
         rank = arrangement.linalg.rank
@@ -306,9 +315,19 @@ class TestHessianCertificate:
             calls.append(1)
             return 0 if len(calls) == 1 else rank(rows)
 
+        monkeypatch.setattr(arrangement, "multiple_rows", lambda gb, h, standard: ({} for _ in standard))
         monkeypatch.setattr(arrangement.linalg, "rank", hessian_fails)
         assert count_distinct_singular_points(f) == expected
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_nodal_chebyshev_curves_take_no_exact_rank(self, d, monkeypatch):
+        # the Hessian's rows mod p reach full rank, which proves the nodes
+        def refuse(rows):
+            raise AssertionError("an exact rank was taken")
+
+        monkeypatch.setattr(arrangement.linalg, "rank", refuse)
+        assert count_distinct_singular_points(curve_polynomial(d)) == expected_node_count(d)
 
     def test_t10_without_gcd(self, monkeypatch):
         calls = []
@@ -333,6 +352,69 @@ class TestHessianCertificate:
         assert rep.verdict == "not_nodal"
         assert rep.tau == 36
         assert rep.distinct_singular_points == 24
+
+
+def _chart_oracle(f):
+    """The chart ideal's reduced basis, computed from the dehomogenized partials."""
+    return buchberger(dehomogenize(p) for p in partials(f))
+
+
+def _chart_of_jacobian(f):
+    """The chart's basis as the count reads it from the Jacobian basis."""
+    return arrangement._chart_basis(f, milnor_profile(f).basis)
+
+
+def _hessian(f):
+    fx, fy = (dehomogenize(f).derivative(v) for v in (0, 1))
+    return fx.derivative(0) * fy.derivative(1) - fx.derivative(1) * fx.derivative(1)
+
+
+class TestChartBasis:
+    """The chart's Groebner basis is the Jacobian basis at z = 1, checked
+    against the basis of the dehomogenized partials."""
+
+    CORPUS = (
+        TestHessianCertificate.CORPUS
+        + _seeded_products(11, (3, 4, 4, 5, 5, 6))
+        + [
+            parse("x*y*z") * parse("x + y - z"),
+            curve_polynomial(6) * parse("z"),
+            # a cone: f_z = 0, so the complete-intersection route keeps no basis
+            parse("x^2*y - x*y^2"),
+        ]
+    )
+
+    @pytest.mark.parametrize("f", CORPUS)
+    def test_dehomogenized_jacobian_basis_is_a_groebner_basis(self, f):
+        from test_groebner import s_polynomial
+
+        gb = _chart_of_jacobian(f)
+        oracle = _chart_oracle(f)
+        assert all(g.nvars == 2 for g in gb.elements)
+        # every S-polynomial reduces to zero, and each basis lies in the
+        # other's ideal
+        for i, g in enumerate(gb.elements):
+            for h in gb.elements[i + 1 :]:
+                assert normal_form(s_polynomial(g, h), gb).is_zero()
+        assert all(normal_form(g, oracle).is_zero() for g in gb.elements)
+        assert all(normal_form(g, gb).is_zero() for g in oracle.elements)
+
+    @pytest.mark.parametrize("f", CORPUS)
+    def test_standard_monomials_match_the_oracle(self, f):
+        standard = arrangement._standard_monomials(leading_ideal(_chart_of_jacobian(f)))
+        assert standard == arrangement._standard_monomials(leading_ideal(_chart_oracle(f)))
+
+    @pytest.mark.parametrize("f", TestHessianCertificate.CORPUS)
+    def test_hessian_rows_are_multiples_of_the_normal_forms(self, f):
+        gb = _chart_of_jacobian(f)
+        standard = arrangement._standard_monomials(leading_ideal(gb))
+        exact = arrangement._multiples(_hessian(f), standard, gb)
+        rows = list(multiple_rows(gb, _hessian(f), standard))
+        assert len(rows) == len(standard)
+        for m, row in zip(standard, rows):
+            terms = {grevlex_unpack(-k, 2): c for k, c in row.items()}
+            assert set(terms) == set(exact[m].terms)
+            assert len({Fraction(c) / exact[m].terms[mono] for mono, c in terms.items()}) <= 1
 
 
 def _line_through(p, q):
@@ -518,7 +600,7 @@ class TestCompanionCurve:
     @pytest.mark.parametrize("d", range(4, 8))
     def test_companion_is_rational_arrangement(self, d):
         from chebcurve.chebyshev import curve_affine
-        from chebcurve.hilbert import expected_node_count
+        from chebcurve.hilbert import expected_node_count, milnor_profile
         from chebcurve.polyring import homogenize
 
         f = homogenize(curve_affine(d, "minus"), d)

@@ -487,3 +487,128 @@ class TestDeterminism:
         a = self._canonical(capsys, "gen", "-d", "6")
         b = self._canonical(capsys, "gen", "-d", "6")
         assert a == b
+
+
+class TestParser:
+    """One table-driven parser reads every command line; -h prints its usage."""
+
+    # argv with its options as "--opt value", the handler and the arguments
+    PARSES = [
+        (["gen", "-d", "4"], "cmd_gen", {"d": 4, "sign": "plus", "format": "json", "out": None}),
+        (
+            ["gen", "--sign", "minus", "-d", "30", "--format", "text", "--out", "r.txt"],
+            "cmd_gen",
+            {"d": 30, "sign": "minus", "format": "text", "out": "r.txt"},
+        ),
+        (
+            ["hilbert", "f.poly"],
+            "cmd_hilbert",
+            {"file": "f.poly", "kmax": None, "format": "json", "out": None},
+        ),
+        (
+            ["hilbert", "--kmax", "0", "f.poly", "--out", "h.json"],
+            "cmd_hilbert",
+            {"file": "f.poly", "kmax": 0, "format": "json", "out": "h.json"},
+        ),
+        (
+            ["syzygy", "f.poly", "--rmax", "12"],
+            "cmd_syzygy",
+            {"file": "f.poly", "rmax": 12, "format": "json", "out": None},
+        ),
+        (["interp", "-d", "10", "--format", "text"], "cmd_interp", {"d": 10, "format": "text", "out": None}),
+        (
+            ["rational-test", "--format", "json", "f.poly"],
+            "cmd_rational_test",
+            {"file": "f.poly", "format": "json", "out": None},
+        ),
+        (["verify", "-d", "3", "--out", "v.json"], "cmd_verify", {"d": 3, "format": "json", "out": "v.json"}),
+    ]
+
+    @staticmethod
+    def _joined(argv):
+        """The same argv with each "--opt value" written "--opt=value"."""
+        out, tokens = [], iter(argv)
+        for token in tokens:
+            out.append(f"{token}={next(tokens)}" if token.startswith("-") else token)
+        return out
+
+    @pytest.mark.parametrize("argv,handler,values", PARSES, ids=[" ".join(p[0]) for p in PARSES])
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    def test_options_parse_to_their_values(self, argv, handler, values, form):
+        from chebcurve import cli
+
+        func, args = cli.parse_args(argv if form == "space" else self._joined(argv))
+        assert func is getattr(cli, handler)
+        assert vars(args) == values
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]])
+    def test_top_level_help(self, capsys, argv):
+        from chebcurve.cli import COMMANDS
+
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
+        for command in COMMANDS:
+            assert f"usage: chebcurve {command}" in out
+
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("gen", ["-d", "--sign", "--format", "--out"]),
+            ("hilbert", ["FILE", "--kmax", "--format", "--out"]),
+            ("syzygy", ["FILE", "--rmax", "--format", "--out"]),
+            ("interp", ["-d", "--format", "--out"]),
+            ("rational-test", ["FILE", "--format", "--out"]),
+            ("verify", ["-d 3..10", "--format json|text", "--out"]),
+        ],
+    )
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_command_help(self, capsys, command, options, flag):
+        rc, out, err = run(capsys, command, flag)
+        assert rc == 0 and err == ""
+        assert out.startswith(f"usage: chebcurve {command} ")
+        assert all(option in out for option in options)
+        assert "usage: chebcurve" not in out[1:]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bogus"],
+            [],
+            ["gen", "-d", "4", "--bogus", "1"],
+            ["gen", "-d", "4", "--km", "3"],
+            ["hilbert", "f.poly", "--km", "3"],
+            ["verify"],
+            ["verify", "-d"],
+            ["gen", "-d", "4", "--format", "xml"],
+            ["hilbert", "f.poly", "--kmax=x"],
+            ["verify", "-d", "11"],
+            ["rational-test"],
+            ["rational-test", "a.poly", "b.poly"],
+            ["interp", "-d", "5", "extra"],
+        ],
+        ids=lambda argv: " ".join(argv) or "empty",
+    )
+    def test_malformed_argv_exits_2_with_one_error_line(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_rational_test_does_not_import_argparse(self, tmp_path):
+        import os
+        import subprocess
+        from pathlib import Path
+
+        path = tmp_path / "t4.poly"
+        path.write_text("8*x^4+8*y^4-8*x^2*z^2-8*y^2*z^2+2*z^4\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys; from chebcurve import cli; "
+            f"rc = cli.main(['rational-test', {str(path)!r}, '--out', {str(tmp_path / 'r.json')!r}]); "
+            "print(rc, 'argparse' in sys.modules)"
+        )
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.stdout == "0 False\n", done.stderr
