@@ -10,9 +10,10 @@ singular point is a node exactly when the Hessian does not vanish there,
 so all n points of the chart ideal (n its standard monomials) are nodes
 exactly when the Hessian is a unit modulo the ideal, that is when its
 multiplication matrix has full rank, which one elimination mod p proves.
-Otherwise the rank of Hermite's trace form on the chart's quotient algebra
-counts the points.  On z = 0 the singular points are, by Euler's relation,
-the common zeros of the three partials, which one univariate gcd finds.
+Otherwise the rank of Hermite's trace form on the chart's quotient algebra,
+which counts the points of any zero-dimensional chart ideal, gives them.
+On z = 0 the singular points are, by Euler's relation, the common zeros
+of the three partials, which one univariate gcd finds.
 Each point has Tjurina number at least 1, so n equals tau exactly when no
 point lies at infinity; a disagreement is a failed self-check.
 Reducedness needs no gcd: in characteristic 0 a homogeneous f is reduced
@@ -69,8 +70,8 @@ def _standard_monomials(lead: tuple[Monomial, ...]) -> list[Monomial] | None:
     return out
 
 
-def _multiples(p: MPoly, monomials: list[Monomial], gb: GroebnerBasis) -> dict[Monomial, MPoly]:
-    """NF(p * m) for each monomial m of a set closed under division.
+def _normal_forms(monomials: list[Monomial], gb: GroebnerBasis) -> dict[Monomial, MPoly]:
+    """NF(m) for each monomial m of a set closed under division.
 
     The set is listed in increasing (a, b) order, so the parent of x^a y^b
     (divided by y, or by x when b = 0) comes first, and the value at x^a y^b
@@ -85,7 +86,7 @@ def _multiples(p: MPoly, monomials: list[Monomial], gb: GroebnerBasis) -> dict[M
         elif a:
             parent = out[a - 1, 0] * x
         else:
-            parent = p
+            parent = MPoly.constant(Fraction(1), 2)
         out[a, b] = normal_form(parent, gb)
     return out
 
@@ -114,8 +115,8 @@ def _chart_point_count(f: MPoly, prof: MilnorProfile, at_infinity: int) -> int:
     exactly when the Hessian is a unit in A = Q[x, y]/I.  By
     Stickelberger's theorem that holds exactly when its n x n
     multiplication matrix has full rank, which its rows from
-    ``multiple_rows`` prove mod p (rank mod p <= rank <= n); anything less
-    takes the exact rank.  Otherwise the points are counted
+    ``multiple_rows`` prove mod p (rank mod p <= rank <= n).  Otherwise,
+    a rank short of n or an unlucky prime alike, the points are counted
     by Hermite's trace form (a, b) -> Tr(m_ab) on A, whose rank is the
     number of distinct points of V(I) (Pedersen, Roy & Szpirglas 1993): its
     entry at standard monomials s_i, s_j is the trace of NF(s_i s_j), and
@@ -141,12 +142,8 @@ def _chart_point_count(f: MPoly, prof: MilnorProfile, at_infinity: int) -> int:
     echelon = linalg.Echelon(PRIME)
     if all(echelon.insert(row) for row in multiple_rows(gb, hessian, standard)):
         return n
-    index = {m: i for i, m in enumerate(standard)}
-    exact = _multiples(hessian, standard, gb).values()
-    if linalg.rank({index[m]: c for m, c in p.terms.items()} for p in exact) == n:
-        return n
     doubled = sorted({(a + c, b + e) for a, b in standard for c, e in standard})
-    products = _multiples(MPoly.constant(Fraction(1), 2), doubled, gb)
+    products = _normal_forms(doubled, gb)
     traces = {
         (a, b): sum(products[a + c, b + e].terms.get((c, e), 0) for c, e in standard)
         for a, b in standard

@@ -23,29 +23,23 @@ A field element sum(num_i * g^i) / den, with int numerators, maps to
 (sum num_i * image(g)^i) * den^-1 mod p, one modular inverse per entry;
 an entry whose den p divides has no image.  ``residue_map`` is that
 reduction, for callers that build their matrices in F_p from reduced
-coefficients, and ``cosine_residues`` gives the images of cos(k*pi/d).
-Every rank is at most min(#nonzero rows, #nonzero columns).  When the
-echelon over F_p reaches that bound, the two bounds meet and the rank is
-proven.  Otherwise, and whenever no reduction applies (p divides a
-denominator, or the entries come from different fields), the rank comes
-from ``_rank_exact``.
+coefficients, and ``cosine_residues`` gives the images of cos(k*pi/d);
+``_reduce_mod_p`` reduces the exact rows of ``rank``.  Every rank is at
+most min(#nonzero rows, #nonzero columns).  When the echelon over F_p
+reaches that bound, the two bounds meet and the rank is proven.
+Otherwise, and whenever no reduction applies (p divides a denominator, or
+the entries come from different fields), the rank comes from
+``_rank_exact``.
 
 A rank-deficient rank is certified by known kernel vectors.  When the
-columns of K satisfy A K = 0 exactly, rank K <= ncols - rank A, so
-rank_p K <= rank K <= ncols - rank A <= ncols - rank_p A = u, with A and K
-reduced modulo the same prime.  ``kernel_certificate`` eliminates A mod p,
-then K restricted to A's u free columns (a kernel vector mod p is fixed by
-its free coordinates, so the restriction keeps rank_p K); when that
-reaches u, every inequality is an equality and rank A = rank_p A,
-rank K = u.  ``kernel_certificate_mod_p`` runs these steps on rows
-already in F_p.  When it falls short and the caller can check a kernel
-vector exactly, the missing vectors are lifted from F_p: the kernel
-vector mod p at a free column comes from A's echelon by
-back-substitution, and each of its entries from
-``rational_reconstruction`` (Wang, Guy & Davenport, SIGSAM Bull. 1982).
-Only a vector whose product with A the caller has proven zero over Q
-joins K, so the sandwich stays a proof.  Callers fall back to ``rank``
-when it does not close.
+columns of K satisfy A K = 0 exactly, rank_p K <= rank K <= ncols - rank A
+<= ncols - rank_p A, with A and K reduced modulo the same prime.
+``kernel_certificate_mod_p``, the one kernel certificate, closes that
+sandwich (its docstring holds the proof) and lifts missing kernel vectors
+from F_p by back-substitution and ``rational_reconstruction`` (Wang, Guy &
+Davenport, SIGSAM Bull. 1982).  Each caller reduces its coefficients once,
+builds A and K from the residues, and falls back to ``rank`` when the
+certificate does not close.
 
 ``solve_unique``, which needs a solution rather than a rank, runs the
 echelon over the entries' field too.  No floating point anywhere.
@@ -337,20 +331,24 @@ def _kernel_vector(pivots: dict[int, Row], c: int, p: int) -> dict[int, int]:
     return x
 
 
-def kernel_certificate(
-    matrix: Iterable, kernel_rows: Sequence, lift: Callable[[Row], bool] | None = None
+def kernel_certificate_mod_p(
+    rows: list[dict[int, int]],
+    kernel: list[dict[int, int]],
+    p: int,
+    lift: Callable[[Row], bool] | None = None,
 ) -> int | None:
     """The proven rank of A from a matrix K with A * K = 0, or None.
 
-    ``kernel_rows`` are the rows of K, one for each column of A (so A has
-    ``len(kernel_rows)`` columns); the caller guarantees A * K = 0 exactly.
-    With both reduced modulo one prime p, rank_p(K) <= rank(K) <=
-    ncols - rank(A) <= ncols - rank_p(A) = u.  The columns of K mod p lie
-    in the kernel of A mod p, which the coordinates at the non-pivot
-    columns of A's echelon determine, so K is restricted to those u rows
-    and its columns are eliminated, sparsest first, until u pivots.  When
-    they have rank u the ends meet: the result is rank(A), and
-    ``len(kernel_rows)`` minus it is rank(K).
+    ``rows`` and ``kernel`` are the rows of A and of K, one for each column
+    of A (so A has ``len(kernel)`` columns), as sparse rows of residues in
+    1..p-1.  The caller guarantees that they are the images of A and K,
+    with A * K = 0 exactly, under one ring homomorphism to F_p.  Then
+    rank_p(K) <= rank(K) <= ncols - rank(A) <= ncols - rank_p(A) = u.  The
+    columns of K mod p lie in the kernel of A mod p, which the coordinates
+    at the non-pivot columns of A's echelon determine, so K is restricted
+    to those u rows and its columns are eliminated, sparsest first, until
+    u pivots.  When they have rank u the ends meet: the result is rank(A),
+    and ``len(kernel)`` minus it is rank(K).
 
     When they fall short and ``lift`` is given, the missing kernel vectors
     are lifted from F_p.  At each free column c, in order, whose unit
@@ -360,30 +358,11 @@ def kernel_certificate(
     ``rational_reconstruction``.  ``lift`` must return True only once it
     has proven A x = 0 exactly for that rational vector x; the vector then
     joins K, with the same restriction to the free columns, until u are
-    known.  None when p divides a denominator, a reconstruction fails,
-    ``lift`` returns False, or the ends do not meet.
+    known.  None when a reconstruction fails, ``lift`` returns False, or
+    the ends do not meet.
     """
-    rows = _to_rows(matrix)
-    kernel = _to_rows(kernel_rows)
     if any(c >= len(kernel) for row in rows for c in row):
         raise ValueError("the kernel matrix needs one row per column")
-    reduced = _reduce_mod_p(rows + kernel)
-    if reduced is None:
-        return None
-    residues, p = reduced
-    return kernel_certificate_mod_p(residues[: len(rows)], residues[len(rows) :], p, lift)
-
-
-def kernel_certificate_mod_p(
-    rows: list[dict[int, int]],
-    kernel: list[dict[int, int]],
-    p: int,
-    lift: Callable[[Row], bool] | None = None,
-) -> int | None:
-    """``kernel_certificate`` from the rows of A and K reduced to F_p,
-    sparse rows of residues in 1..p-1.  The caller guarantees that they
-    are the images of A and K, with A * K = 0 exactly, under one ring
-    homomorphism to F_p."""
     echelon = Echelon(p)
     for row in rows:
         echelon.insert(row)

@@ -40,7 +40,8 @@ rank_p R_r <= rank R_r <= syz(r) = ncols J_r - rank J_r <= ncols J_r -
 rank_p J_r, and the kernel certificate closes both ranks modulo one
 prime when the ends meet; otherwise rank R_r is computed exactly.  J_r
 and R_r are built in F_p, from fx, fy, fz and the relations reduced once
-per coefficient, so the exact R_r is built only for that fallback.  So
+per coefficient (``_certified_syzygies``), so the exact R_r is built
+only for that fallback.  So
 ``verify_resolution`` reads syz(r), r = 0..2d, from the grid ranks, and
 makes one certificate only at each r = d-2..d+2, where it proves rank R_r
 and must give the grid count.
@@ -67,16 +68,18 @@ through Q = S/(fx, fy), without J_r (``quotient_syzygy_dims``):
   kernel vectors are those of degree r-1 times z, when no leading monomial
   of the basis involves z: then z*m is standard for every standard m and
   the row of z*m is the row of m times z.  The missing ones are lifted
-  from F_p, and each is kept only once its combination of the integer
-  rows is zero exactly.  A degree whose certificate does not close takes
-  ``linalg.rank`` of the small matrix.
+  from F_p, and each is kept, as its residues, only once its combination
+  of the integer rows is zero exactly.  The integer rows enter the
+  certificate reduced mod p, and a degree whose certificate does not
+  close takes ``linalg.rank`` of the small matrix.
 
 For any other input the known syzygies start as the Koszul trio.  When
 the certificate of a degree r falls short, it lifts the missing syzygies
 from their residues mod p; each becomes a relation of degree r only once
 a1*fx + a2*fy + a3*fz = 0 holds identically over Q, and its multiples
-prove the higher degrees.  So the ``syzygy`` command eliminates each J_r
-once, mod p, and a degree whose lift fails takes ``linalg.rank``.
+prove the higher degrees.  So the ``syzygy`` command builds and
+eliminates each J_r once, in F_p, and only a degree whose lift fails
+builds the exact J_r, for ``linalg.rank``.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ from .hilbert import (
     series_dims,
 )
 from .interp import grid_ranks
-from .numberfield import SelfCheckError
+from .numberfield import AlgNum, SelfCheckError
 from .polyring import (
     InexactDivisionError,
     MPoly,
@@ -160,8 +163,8 @@ def jacobian_degree_matrix(f: MPoly, r: int) -> tuple[list[dict[int, object]], i
 
 
 def _lifter(f: MPoly, r: int, relations: list):
-    """The ``lift`` of ``linalg.kernel_certificate`` for J_r: it reads a
-    kernel vector as a triple of degree-r forms and appends it to
+    """The ``lift`` of ``linalg.kernel_certificate_mod_p`` for J_r: it reads
+    a kernel vector as a triple of degree-r forms and appends it to
     relations with degree r exactly when a1*fx + a2*fy + a3*fz = 0."""
     basis = monomial_basis(r, nvars=3)
     n = len(basis)
@@ -193,10 +196,10 @@ def regular_pair_basis(f: MPoly) -> GroebnerBasis | None:
     return gb if hilbert_numerator(leading_ideal(gb)) == upoly.mul(step, step) else None
 
 
-def _quotient_lifter(rows: dict, kernel: list):
-    """The ``lift`` of ``linalg.kernel_certificate`` for the transposed
+def _quotient_lifter(rows: dict, kernel: list, image):
+    """The ``lift`` of ``linalg.kernel_certificate_mod_p`` for the transposed
     multiplication matrix: it reads a vector as one coefficient per row, in
-    the order of rows, and appends it to kernel as {monomial: coefficient}
+    the order of rows, and appends it to kernel as {monomial: residue}
     exactly when that combination of the integer rows is zero."""
     monos = list(rows)
 
@@ -209,7 +212,7 @@ def _quotient_lifter(rows: dict, kernel: list):
                 total[k] = total.get(k, 0) + s * c
         if any(total.values()):
             return False
-        kernel.append({monos[j]: q for j, q in vector.items()})
+        kernel.append({monos[j]: image(q) for j, q in vector.items()})
         return True
 
     return lift
@@ -225,6 +228,7 @@ def quotient_syzygy_dims(f: MPoly, r_max: int) -> list[int] | None:
     gb = regular_pair_basis(f)
     if gb is None:
         return None
+    p, image = linalg.residue_map(None)
     dims: list[int] = []
     kernel: list[dict] = []
     for r, rows in enumerate(multiplication_rows(gb, partials(f)[2], r_max)):
@@ -241,7 +245,9 @@ def quotient_syzygy_dims(f: MPoly, r_max: int) -> list[int] | None:
             for m, v in g.items():
                 kernel_rows[column[m]][n] = v
         matrix = list(transpose.values())
-        rank = linalg.kernel_certificate(matrix, kernel_rows, _quotient_lifter(rows, kernel))
+        residues = [{j: v for j, c in row.items() if (v := c % p)} for row in matrix]
+        lift = _quotient_lifter(rows, kernel, image)
+        rank = linalg.kernel_certificate_mod_p(residues, kernel_rows, p, lift)
         if rank is None:
             rank = linalg.rank(matrix)
         dims.append(_dim_homog(r) - rank + _dim_homog(r - f.degree() + 1))
@@ -259,20 +265,19 @@ def syzygy_dim(f: MPoly, r: int, relations: Sequence | None = None) -> int:
     certificate, each with degree r, so that passing one list for
     ascending r reuses them through their multiples; a tuple is taken as
     it is.  Without relations, or when the certificate does not close,
-    the rank is computed by ``linalg.rank``.
+    the exact J_r is built and its rank computed by ``linalg.rank``.
     """
     if relations is None:
         dims = quotient_syzygy_dims(f, r)
         if dims is not None:
             return dims[r]
         relations = koszul_relations(f)
-    jac, ncols = jacobian_degree_matrix(f, r)
-    rank = None
-    if relations:
-        kernel, _ = relation_matrix(relations, r)
-        lift = _lifter(f, r, relations) if isinstance(relations, list) else None
-        rank = linalg.kernel_certificate(jac, kernel, lift)
-    return ncols - (linalg.rank(jac) if rank is None else rank)
+    lift = _lifter(f, r, relations) if isinstance(relations, list) else None
+    syz = _certified_syzygies(f, r, relations, lift)
+    if syz is None:
+        jac, ncols = jacobian_degree_matrix(f, r)
+        syz = ncols - linalg.rank(jac)
+    return syz
 
 
 def syzygy_dim_from_hilbert(f: MPoly, r: int) -> int:
@@ -356,32 +361,45 @@ def _residue_terms(form: MPoly, image) -> dict | None:
     return out
 
 
+def _certified_syzygies(f: MPoly, r: int, relations: Sequence, lift=None) -> int | None:
+    """syz(r) = ncols J_r - rank J_r proven by the kernel certificate of J_r
+    against R_r, both built in F_p from the partials and the relations
+    reduced once per coefficient by ``linalg.residue_map``, for the one
+    field of the coefficients.  None with no relations, coefficients from
+    two fields or one with no image, or a certificate that does not close.
+    """
+    grads = partials(f)
+    forms = [*grads, *(c for rel, _ in relations for c in rel)]
+    fields = {c.field.d for g in forms for c in g.terms.values() if isinstance(c, AlgNum)}
+    if not relations or len(fields) > 1:
+        return None
+    p, image = linalg.residue_map(fields.pop() if fields else None)
+    grads = [_residue_terms(g, image) for g in grads]
+    rels = [(tuple(_residue_terms(c, image) for c in rel), deg) for rel, deg in relations]
+    if None in grads or any(None in rel for rel, _ in rels):
+        return None
+    jac, ncols = macaulay_matrix([((g,), r) for g in grads], r + f.degree() - 1)
+    kernel, _ = macaulay_matrix([(rel, r - deg) for rel, deg in rels], r)
+    rank = linalg.kernel_certificate_mod_p(jac, kernel, p, lift)
+    return None if rank is None else ncols - rank
+
+
 def relation_module_kernel_dim(d: int, r: int) -> linalg.Proven:
     """(rank, kernel dim) of assembling polynomial combinations of the
     distinguished relations and the Koszul trio in component degree r.
 
     One kernel certificate of the degree-r Jacobian matrix J_r, whose
-    syzygies these columns are, proves rank R_r = syz(r) = ncols J_r -
-    rank J_r.  Both matrices are built in F_p, from the partials and the
-    relations reduced once per coefficient by ``linalg.residue_map``;
-    the exact R_r is built only when that does not close, for the rank of
-    R_r alone from ``linalg.rank``.  The result's ``proof`` names the
-    route: "mod_p" or "exact".
+    syzygies these columns are, proves rank R_r = syz(r) (see
+    ``_certified_syzygies``); only when it does not close is the exact R_r
+    built, for ``linalg.rank``.  ``proof`` names the route: "mod_p" or "exact".
     """
     relations = chebyshev_relations(d)
-    p, image = linalg.residue_map(d)
-    grads = [_residue_terms(g, image) for g in partials(curve_polynomial(d))]
-    rels = [(tuple(_residue_terms(c, image) for c in rel), deg) for rel, deg in relations]
-    rank = None
-    if None not in grads and all(None not in rel for rel, _ in rels):
-        jac, ncols = macaulay_matrix([((g,), r) for g in grads], r + d - 1)
-        kernel, nrel = macaulay_matrix([(rel, r - deg) for rel, deg in rels], r)
-        rank = linalg.kernel_certificate_mod_p(jac, kernel, p)
+    nrel = sum(_dim_homog(r - deg) for _, deg in relations)
+    rank = _certified_syzygies(curve_polynomial(d), r, relations)
+    proof = "mod_p"
     if rank is None:
-        exact, nrel = relation_matrix(relations, r)
-        rank_rel = linalg.rank(exact)
-        return linalg.Proven((rank_rel, nrel - rank_rel), "exact")
-    return linalg.Proven((ncols - rank, nrel - ncols + rank), "mod_p")
+        rank, proof = linalg.rank(relation_matrix(relations, r)[0]), "exact"
+    return linalg.Proven((rank, nrel - rank), proof)
 
 
 def expected_relation_kernel_dim(d: int, r: int) -> int:

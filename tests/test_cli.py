@@ -160,7 +160,7 @@ class TestBudgets:
         monkeypatch.setattr(arrangement, "buchberger", refuse)
         monkeypatch.setattr(syzygy, "buchberger", refuse)
         monkeypatch.setattr(linalg, "rank", refuse)
-        monkeypatch.setattr(linalg, "kernel_certificate", refuse)
+        monkeypatch.setattr(linalg, "kernel_certificate_mod_p", refuse)
         hilbert.milnor_profile.cache_clear()
         syzygy.regular_pair_basis.cache_clear()
 

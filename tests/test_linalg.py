@@ -17,7 +17,7 @@ from chebcurve.linalg import (
     _reaches_rank_mod_p,
     _reduce_mod_p,
     _to_rows,
-    kernel_certificate,
+    kernel_certificate_mod_p,
     primitive,
     rank,
     rational_reconstruction,
@@ -30,6 +30,17 @@ from chebcurve.numberfield import SelfCheckError, real_cyclotomic_field
 def exact_rank(matrix) -> int:
     """Rank by the exact elimination alone, the reference for the certificate."""
     return _rank_exact([r for r in _to_rows(matrix) if r])
+
+
+def kernel_certificate(matrix, kernel_rows, lift=None):
+    """``kernel_certificate_mod_p`` on exact rows of A and K, reduced
+    together by ``_reduce_mod_p``; None when no reduction applies."""
+    rows, kernel = _to_rows(matrix), _to_rows(kernel_rows)
+    reduced = _reduce_mod_p(rows + kernel)
+    if reduced is None:
+        return None
+    residues, p = reduced
+    return kernel_certificate_mod_p(residues[: len(rows)], residues[len(rows) :], p, lift)
 
 
 def full_rank_bound(rows) -> int:

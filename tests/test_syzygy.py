@@ -15,6 +15,7 @@ from chebcurve import cli, interp, linalg, syzygy
 from chebcurve.chebyshev import build, curve_polynomial, minus_conics
 from chebcurve.numberfield import real_cyclotomic_field
 from chebcurve.polyring import MPoly, monomial_basis, parse, partials, variables
+from test_linalg import kernel_certificate
 from chebcurve.syzygy import (
     chebyshev_relations,
     expected_relation_kernel_dim,
@@ -221,7 +222,7 @@ class TestSecondLevel:
         for r in range(d - 2, d + 3):
             jac, ncols = jacobian_degree_matrix(f, r)
             kernel, nrel = relation_matrix(relations, r)
-            rank = linalg.kernel_certificate(jac, kernel)
+            rank = kernel_certificate(jac, kernel)
             rank_rel = linalg.rank(kernel) if rank is None else ncols - rank
             assert relation_module_kernel_dim(d, r) == (rank_rel, nrel - rank_rel)
 
@@ -260,7 +261,7 @@ class TestKernelCertificate:
         for r in range(2 * d + 1):
             rows, ncols = jacobian_degree_matrix(f, r)
             kernel, _ = relation_matrix(relations, r)
-            rank_j = linalg.kernel_certificate(rows, kernel)
+            rank_j = kernel_certificate(rows, kernel)
             assert rank_j == exact_rank(rows)
             if d <= 6 or r <= d + 2:
                 assert ncols - rank_j == sympy_rank(kernel)
@@ -474,12 +475,40 @@ class TestLiftedSyzygies:
 
     @pytest.mark.parametrize("d", [4, 5, 6])
     def test_no_reduction_mod_p_takes_the_exact_path(self, monkeypatch, d):
+        # no coefficient has an image in F_p: no certificate, and the exact
+        # J_r is built and ranked in every degree
         f = curve_polynomial(d)
         proven, _ = lifted_dims(f, 2 * d)
-        monkeypatch.setattr(linalg, "_reduce_mod_p", lambda rows: None)
+        p, _ = linalg.residue_map(None)
+        built = []
+        matrix = syzygy.jacobian_degree_matrix
+        monkeypatch.setattr(linalg, "residue_map", lambda d: (p, lambda v: None))
+        monkeypatch.setattr(syzygy, "jacobian_degree_matrix", lambda g, r: built.append(r) or matrix(g, r))
         dims, relations = lifted_dims(f, 2 * d)
         assert dims == proven
         assert len(relations) == 3
+        assert built == list(range(2 * d + 1))
+
+    def test_empty_relation_list_takes_the_exact_rank(self):
+        # no relation: no certificate, and linalg.rank of J_r gives the count
+        for text in ["x^2*y^2 - z^4", "x^3 + y^3 + z^3"]:
+            f = parse(text)
+            r_max = 2 * f.degree()
+            assert [syzygy_dim(f, r, []) for r in range(r_max + 1)] == hilbert_counts(f, r_max)
+
+    @pytest.mark.parametrize("name", ["T8", "dense6"])
+    def test_syzygy_command_builds_no_fraction_row(self, monkeypatch, capsys, tmp_path, name):
+        # the certificates take the integer rows and the kernel vectors as
+        # residues, never as Fraction rows
+        def refuse(*args):
+            raise AssertionError("a Fraction row was built")
+
+        monkeypatch.setattr(linalg, "_to_rows", refuse)
+        path = tmp_path / "f.poly"
+        path.write_text(seed_one_input(f"syzygy-{name}"))
+        assert cli.main(["syzygy", str(path)]) == 0
+        per_degree = json.loads(capsys.readouterr().out)["results"]["per_degree"]
+        assert all(e["dimension"] == e["expected_from_hilbert"] for e in per_degree)
 
     @pytest.mark.parametrize("name", ["T5", "T6", "T7", "T8", "dense5", "dense6"])
     def test_syzygy_command_needs_no_exact_elimination(self, monkeypatch, capsys, tmp_path, name):
@@ -528,11 +557,18 @@ class TestQuotientCounts:
         r_max = 2 * f.degree()
         assert regular_pair_basis(f) is None
         assert quotient_syzygy_dims(f, r_max) is None
-        built = []
+        # one certificate per degree closes, with lifts, so the exact J_r of
+        # the fallback is never built
+        built, certified = [], []
         matrix = syzygy.jacobian_degree_matrix
+        certificate = linalg.kernel_certificate_mod_p
         monkeypatch.setattr(syzygy, "jacobian_degree_matrix", lambda g, r: built.append(r) or matrix(g, r))
+        monkeypatch.setattr(
+            linalg, "kernel_certificate_mod_p",
+            lambda rows, kernel, p, lift=None: certified.append(1) or certificate(rows, kernel, p, lift),
+        )
         assert [syzygy_dim(f, r) for r in range(r_max + 1)] == hilbert_counts(f, r_max)
-        assert built == list(range(r_max + 1))
+        assert built == [] and len(certified) == r_max + 1
 
     @pytest.mark.parametrize("text", ["x*y", "x^2 + y^2 + z^2", "y^2*z - x^3 - x^2*z", "x^4 + y^4"])
     def test_regular_pairs_take_the_quotient_path(self, monkeypatch, text):
@@ -572,7 +608,7 @@ class TestQuotientCounts:
             shapes.append(len(rows))
             return rank(rows)
 
-        monkeypatch.setattr(linalg, "kernel_certificate", lambda matrix, kernel_rows, lift=None: None)
+        monkeypatch.setattr(linalg, "kernel_certificate_mod_p", lambda rows, kernel, p, lift=None: None)
         monkeypatch.setattr(linalg, "rank", counted)
         assert quotient_syzygy_dims(f, 10) == proven
         # M_r has at most (d-1)^2 = 16 rows and columns
