@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, upoly
-from .groebner import PRIME, GroebnerBasis, buchberger, leading_ideal, multiple_rows, normal_form
+from .groebner import GroebnerBasis, buchberger, leading_ideal, multiple_rows, normal_form
 from .hilbert import MilnorProfile, milnor_profile
 from .numberfield import SelfCheckError
 from .polyring import Monomial, MPoly, dehomogenize, partials
@@ -115,7 +115,7 @@ def _chart_point_count(f: MPoly, prof: MilnorProfile, at_infinity: int) -> int:
     exactly when the Hessian is a unit in A = Q[x, y]/I.  By
     Stickelberger's theorem that holds exactly when its n x n
     multiplication matrix has full rank, which its rows from
-    ``multiple_rows`` prove mod p (rank mod p <= rank <= n).  Otherwise,
+    ``multiple_rows`` prove mod linalg's p (rank_p <= rank <= n).  Otherwise,
     a rank short of n or an unlucky prime alike, the points are counted
     by Hermite's trace form (a, b) -> Tr(m_ab) on A, whose rank is the
     number of distinct points of V(I) (Pedersen, Roy & Szpirglas 1993): its
@@ -139,7 +139,7 @@ def _chart_point_count(f: MPoly, prof: MilnorProfile, at_infinity: int) -> int:
     fx, fy = (dehomogenize(f).derivative(v) for v in (0, 1))
     fxy = fx.derivative(1)
     hessian = fx.derivative(0) * fy.derivative(1) - fxy * fxy
-    echelon = linalg.Echelon(PRIME)
+    echelon = linalg.Echelon(linalg.residue_map(None)[0])
     if all(echelon.insert(row) for row in multiple_rows(gb, hessian, standard)):
         return n
     doubled = sorted({(a + c, b + e) for a, b in standard for c, e in standard})

@@ -39,10 +39,10 @@ Any other input (non-homogeneous charts, more than n generators, degrees
 that miss the bound) keeps every pair, and the reduced basis is the same
 either way, since a dropped pair adds nothing.
 
-``complete_intersection_certificate`` proves from one basis mod the word
-prime p = PRIME that such forms meet the bound in every degree, with no
-assumption on p.  Let M_k be the Macaulay matrix in degree k of the forms
-with their denominators cleared (integer forms, content kept):
+``complete_intersection_certificate`` proves from one basis mod the p of
+``linalg.residue_map``, with no assumption on p, that such forms meet the
+bound in every degree.  Let M_k be the degree-k Macaulay matrix of the
+forms with denominators cleared, whose images are the residues up to units:
 
 - HF_Q(k) = dim S_k - rank_Q M_k and HF_p(k) = dim S_k - rank_p (M_k mod p);
   reducing mod p can only lower a rank, so HF_Q(k) <= HF_p(k) for every
@@ -65,28 +65,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 from . import upoly
-from .linalg import primitive, strip_content
+from .linalg import primitive, residue_map, residues, strip_content
 from .polyring import (
     Monomial,
     MPoly,
     grevlex_key,
     grevlex_pack,
     grevlex_unpack,
+    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    monomial_basis,
 )
-
-# the largest prime below 2^30: a product of two residues fits in two
-# 30-bit CPython digits
-PRIME = 1073741789
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -367,30 +362,19 @@ def buchberger(generators) -> GroebnerBasis:
     return GroebnerBasis(_reduce_basis(basis, nvars))
 
 
-def _residues(p: MPoly) -> dict[int, int]:
-    """The packed terms mod PRIME of p with its denominators cleared, zeros dropped."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    out = {}
-    for m, c in p.terms.items():
-        r = c.numerator * (den // c.denominator) % PRIME
-        if r:
-            out[-grevlex_pack(m)] = r
-    return out
-
-
-def _make_monic(terms: dict[int, int]) -> _GPoly | None:
-    """The monic basis element mod PRIME of a reduced, zero-free remainder."""
+def _make_monic(terms: dict[int, int], p: int) -> _GPoly | None:
+    """The monic basis element mod p of a reduced, zero-free remainder."""
     if not terms:
         return None
     key = min(terms)
-    inverse = pow(terms[key], -1, PRIME)
-    return _GPoly({k: c * inverse % PRIME for k, c in terms.items()}, key)
+    inverse = pow(terms[key], -1, p)
+    return _GPoly({k: c * inverse % p for k, c in terms.items()}, key)
 
 
-def _normal_form_mod(terms: dict[int, int], basis: list[_GPoly]) -> dict[int, int]:
-    """Full normal form mod PRIME against monic elements: the loop of
+def _normal_form_mod(terms: dict[int, int], basis: list[_GPoly], p: int) -> dict[int, int]:
+    """Full normal form mod p against monic elements: the loop of
     ``_normal_form_int`` with no cross-multiplication, gcd or content strip.
-    A work value is reduced mod PRIME only when the heap pops its key."""
+    A work value is reduced mod p only when the heap pops its key."""
     work = dict(terms)
     heap = list(work)
     heapify(heap)
@@ -398,7 +382,7 @@ def _normal_form_mod(terms: dict[int, int], basis: list[_GPoly]) -> dict[int, in
     rem: dict[int, int] = {}
     while heap:
         m = heappop(heap)
-        c = work.pop(m) % PRIME
+        c = work.pop(m) % p
         if not c:
             continue
         e0, e1, e2 = _exponents(m)
@@ -422,17 +406,21 @@ def _normal_form_mod(terms: dict[int, int], basis: list[_GPoly]) -> dict[int, in
 
 def complete_intersection_certificate(generators) -> tuple[int, ...] | None:
     """prod (1 - t^e_i), the Hilbert numerator of S/I for the ideal of the
-    forms, when one basis mod PRIME proves that the nonzero forms, of
-    degrees e_i, meet the complete-intersection bound in every degree;
-    else None, which proves nothing (the sandwich CI <= HF_Q <= HF_p is in
-    the module docstring).  Takes the forms ``buchberger`` takes.
+    forms, when one basis mod p proves that the nonzero forms, of degrees
+    e_i, meet the complete-intersection bound in every degree; else None,
+    which proves nothing (see the module docstring), as is a coefficient
+    with no image mod p.  Takes the forms ``buchberger`` takes.
     """
     gens = _nonzero_forms(generators)
     numerator = _complete_intersection_numerator(gens)
     if numerator is None:
         return None
-    forms = [t for t in map(_residues, gens) if t]
-    basis = _pair_loop(forms, gens[0].nvars, numerator, _normal_form_mod, _make_monic, stop=True)
+    p, image = residue_map(None)
+    forms = [residues(_packed(g.terms), image) for g in gens]
+    if None in forms:
+        return None
+    reduce, make = partial(_normal_form_mod, p=p), partial(_make_monic, p=p)
+    basis = _pair_loop([t for t in forms if t], gens[0].nvars, numerator, reduce, make, stop=True)
     if basis is None:
         return None
     from .hilbert import hilbert_numerator  # hilbert imports this module
@@ -511,14 +499,17 @@ def multiplication_rows(G: GroebnerBasis, h: MPoly, top: int):
 
     Yields one dict per degree r, from each standard monomial m of degree r
     (one that no leading monomial divides), in ``monomial_basis`` order, to
-    its row from ``multiple_rows``.  The standard monomials are closed under
-    division, so each row is a normal form of at most dim Q_(r + deg h - 1)
-    terms, made from the row one degree down.
+    its row from ``multiple_rows``.  m is standard exactly when no lead is
+    m and each m/v is standard, so each degree's grow from the last's, and
+    each row is a normal form of at most dim Q_(r + deg h - 1) terms.
     """
-    leads = [g.exps for g in G._primitive]
+    units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    leads = {g.exps for g in G._primitive}
     rows: dict[Monomial, dict[int, int]] = {}
     for r in range(top + 1):
-        standard = [m for m in monomial_basis(r, 3) if not any(mono_divides(e, m) for e in leads)]
+        grown = {mono_mul(m, u) for m in rows for u in units} if r else {(0, 0, 0)}
+        standard = [m for m in grown - leads if all(mono_div(m, u) in rows for e, u in zip(m, units) if e)]
+        standard.sort(key=grevlex_key, reverse=True)
         rows = dict(zip(standard, multiple_rows(G, h, standard, dict(rows))))
         yield rows
 

@@ -148,7 +148,7 @@ def milnor_profile(f: MPoly, kmax: int | None = None) -> MilnorProfile:
     """Jacobian-quotient profile of a homogeneous polynomial in x, y, z.
 
     The numerator comes first from ``complete_intersection_certificate``:
-    one basis of the partials mod a word prime that proves the
+    one basis of the partials mod linalg's rational prime that proves the
     complete-intersection Hilbert function of its nonzero partials,
     (1 - t^(d-1))^3 for a smooth curve.  When it proves
     nothing (a singular or non-reduced curve, or an unlucky prime) the

@@ -19,13 +19,15 @@ Rank is certified before it is computed.  Reducing the entries modulo one
 prime p is a ring homomorphism (for Q(2*cos(pi/d)), p = 1 mod 2d and
 2*cos(pi/d) goes to zeta + 1/zeta for a 2d-th root of unity zeta in F_p),
 so a nonzero minor mod p lifts to a nonzero minor: rank mod p <= rank.
+The prime is chosen here alone, for every mod-p proof of the package: the
+largest below 2^61 that is 1 mod 2d (``_modulus``), PRIME = 2^61 - 1 for Q.
 A field element sum(num_i * g^i) / den, with int numerators, maps to
 (sum num_i * image(g)^i) * den^-1 mod p, one modular inverse per entry;
 an entry whose den p divides has no image.  ``residue_map`` is that
-reduction, for callers that build their matrices in F_p from reduced
-coefficients, and ``cosine_residues`` gives the images of cos(k*pi/d);
-``_reduce_mod_p`` reduces the exact rows of ``rank``.  Every rank is at
-most min(#nonzero rows, #nonzero columns).  When the echelon over F_p
+reduction, ``field_residue_map`` picks it for the one field of some
+coefficients, ``residues`` reduces a dict of them, and ``cosine_residues``
+gives the images of cos(k*pi/d).  Every rank is at most
+min(#nonzero rows, #nonzero columns).  When the echelon over F_p
 reaches that bound, the two bounds meet and the rank is proven.
 Otherwise, and whenever no reduction applies (p divides a denominator, or
 the entries come from different fields), the rank comes from
@@ -37,9 +39,9 @@ columns of K satisfy A K = 0 exactly, rank_p K <= rank K <= ncols - rank A
 ``kernel_certificate_mod_p``, the one kernel certificate, closes that
 sandwich (its docstring holds the proof) and lifts missing kernel vectors
 from F_p by back-substitution and ``rational_reconstruction`` (Wang, Guy &
-Davenport, SIGSAM Bull. 1982).  Each caller reduces its coefficients once,
-builds A and K from the residues, and falls back to ``rank`` when the
-certificate does not close.
+Davenport, SIGSAM Bull. 1982), which recovers n/m with |n|, m < 2^30.
+Each caller reduces its coefficients once, builds A and K from the
+residues, and falls back to ``rank`` when the certificate does not close.
 
 ``solve_unique``, which needs a solution rather than a rank, runs the
 echelon over the entries' field too.  No floating point anywhere.
@@ -153,10 +155,13 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+PRIME = 2305843009213693951  # 2^61 - 1, which is _modulus(2)
+
+
 @lru_cache(maxsize=None)
 def _modulus(n: int) -> int:
-    """The largest prime p < 2**31 with p = 1 (mod n)."""
-    p = (2**31 - 2) // n * n + 1
+    """The largest prime p < 2**61 with p = 1 (mod n)."""
+    p = (2**61 - 2) // n * n + 1
     while not _is_prime(p):
         p -= n
     return p
@@ -219,15 +224,14 @@ def _residue(q: Fraction, p: int) -> int | None:
 
 def residue_map(d: int | None) -> tuple[int, Callable[[object], int | None]]:
     """(p, the reduction of an entry to F_p): for Fractions alone (d None)
-    p = _modulus(2), for Fractions and elements of Q(2*cos(pi/d))
-    p = _modulus(2d) with the homomorphism of ``_generator_image``.
+    p = PRIME, for Fractions and elements of Q(2*cos(pi/d)) p = _modulus(2d)
+    with the homomorphism of ``_generator_image``.
 
     An entry whose denominator p divides (a Fraction's, or the common one
     of an AlgNum) maps to None: it has no image.
     """
     if d is None:
-        p = _modulus(2)
-        return p, lambda v: _residue(v, p)
+        return PRIME, lambda v: _residue(v, PRIME)
     p, g = _generator_image(d)
     gpow = [pow(g, i, p) for i in range(real_cyclotomic_field(d).degree)]
 
@@ -243,30 +247,37 @@ def residue_map(d: int | None) -> tuple[int, Callable[[object], int | None]]:
     return p, image
 
 
-def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
-    """The rows' image in F_p under ``residue_map``, with p; None when no
-    reduction applies: the entries come from different fields, or p
-    divides a denominator.
-    """
-    fields = {v.field.d for row in rows for v in row.values() if isinstance(v, AlgNum)}
+def field_residue_map(values: Iterable) -> tuple[int, Callable[[object], int | None]] | None:
+    """``residue_map`` of the one field of the values; None for two fields."""
+    fields = {v.field.d for v in values if isinstance(v, AlgNum)}
     if len(fields) > 1:
         return None
-    p, image = residue_map(fields.pop() if fields else None)
+    return residue_map(fields.pop() if fields else None)
+
+
+def residues(terms: Mapping, image: Callable[[object], int | None]) -> dict | None:
+    """The nonzero images of a dict's values; None when one has no image."""
+    out = {k: image(v) for k, v in terms.items()}
+    return None if None in out.values() else {k: r for k, r in out.items() if r}
+
+
+def _reduce_mod_p(rows: list[Row]) -> tuple[list[dict[int, int]], int] | None:
+    """The rows' image in F_p under ``field_residue_map``, with p; None when
+    the entries come from two fields or p divides a denominator."""
+    found = field_residue_map(v for row in rows for v in row.values())
+    if found is None:
+        return None
+    p, image = found
     # matrices built from a few polynomials repeat the same entry objects
     memo: dict[int, int | None] = {}
-    out = []
-    for row in rows:
-        red: dict[int, int] = {}
-        for c, v in row.items():
-            r = memo.get(id(v), -1)
-            if r == -1:
-                r = memo[id(v)] = image(v)
-            if r is None:
-                return None
-            if r:
-                red[c] = r
-        out.append(red)
-    return out, p
+
+    def cached(v) -> int | None:
+        if id(v) not in memo:
+            memo[id(v)] = image(v)
+        return memo[id(v)]
+
+    out = [residues(row, cached) for row in rows]
+    return None if None in out else (out, p)
 
 
 def _reaches_rank_mod_p(rows: list[dict[int, int]], p: int, target: int) -> bool:

@@ -10,6 +10,7 @@ grading utilities live here.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, Mapping, Sequence
 
 from .numberfield import AlgNum
@@ -487,24 +488,32 @@ def divide(num: MPoly, divisors: Sequence[MPoly]) -> tuple[MPoly, ...]:
     if any(g.nvars != num.nvars for g in divisors):
         raise ValueError("mixed variable counts")
     leads = [(g.leading_monomial(), g) for g in divisors]
-    rem = dict(num.terms)
+    tails = [[(-grevlex_pack(m), c) for m, c in g.terms.items() if m != lm] for lm, g in leads]
+    # the largest term pops from a heap of negated packed keys; a zero waits its turn
+    rem = {-grevlex_pack(m): c for m, c in num.terms.items()}
+    heap = sorted(rem)
     quotients: list[dict[Monomial, object]] = [{} for _ in divisors]
-    while rem:
-        lm = max(rem, key=grevlex_key)
-        for quo, (lm_g, g) in zip(quotients, leads):
+    while heap:
+        key = heappop(heap)
+        c = rem.pop(key)
+        if not c:
+            continue
+        lm = grevlex_unpack(-key, num.nvars)
+        for quo, tail, (lm_g, g) in zip(quotients, tails, leads):
             if mono_divides(lm_g, lm):
                 break
         else:
             raise InexactDivisionError(f"{', '.join(map(to_string, divisors))} does not divide exactly")
-        q_mono = mono_div(lm, lm_g)
-        q = quo[q_mono] = rem[lm] / g.terms[lm_g]
-        for m, c in g.terms.items():
-            m = mono_mul(q_mono, m)
-            v = rem.get(m, 0) - q * c
-            if v:
-                rem[m] = v
+        q = quo[mono_div(lm, lm_g)] = c / g.terms[lm_g]
+        shift = key + grevlex_pack(lm_g)
+        for k, gc in tail:
+            k += shift
+            v = rem.get(k)
+            if v is None:
+                rem[k] = -q * gc
+                heappush(heap, k)
             else:
-                del rem[m]
+                rem[k] = v - q * gc
     return tuple(MPoly(num.nvars, quo) for quo in quotients)
 
 

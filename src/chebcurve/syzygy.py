@@ -100,7 +100,7 @@ from .hilbert import (
     series_dims,
 )
 from .interp import grid_ranks
-from .numberfield import AlgNum, SelfCheckError
+from .numberfield import SelfCheckError
 from .polyring import (
     InexactDivisionError,
     MPoly,
@@ -348,34 +348,21 @@ def relation_matrix(relations: Relations, r: int) -> tuple[list[dict[int, object
     return macaulay_matrix([(rel, r - deg) for rel, deg in relations], r)
 
 
-def _residue_terms(form: MPoly, image) -> dict | None:
-    """The nonzero residues {monomial: image of the coefficient} of a form,
-    or None when a coefficient has no image."""
-    out = {}
-    for m, c in form.terms.items():
-        v = image(c)
-        if v is None:
-            return None
-        if v:
-            out[m] = v
-    return out
-
-
 def _certified_syzygies(f: MPoly, r: int, relations: Sequence, lift=None) -> int | None:
     """syz(r) = ncols J_r - rank J_r proven by the kernel certificate of J_r
     against R_r, both built in F_p from the partials and the relations
-    reduced once per coefficient by ``linalg.residue_map``, for the one
-    field of the coefficients.  None with no relations, coefficients from
-    two fields or one with no image, or a certificate that does not close.
+    reduced once per coefficient by ``linalg.field_residue_map``.  None with
+    no relations, coefficients from two fields or one with no image, or a
+    certificate that does not close.
     """
     grads = partials(f)
     forms = [*grads, *(c for rel, _ in relations for c in rel)]
-    fields = {c.field.d for g in forms for c in g.terms.values() if isinstance(c, AlgNum)}
-    if not relations or len(fields) > 1:
+    found = linalg.field_residue_map(c for g in forms for c in g.terms.values())
+    if not relations or found is None:
         return None
-    p, image = linalg.residue_map(fields.pop() if fields else None)
-    grads = [_residue_terms(g, image) for g in grads]
-    rels = [(tuple(_residue_terms(c, image) for c in rel), deg) for rel, deg in relations]
+    p, image = found
+    grads = [linalg.residues(g.terms, image) for g in grads]
+    rels = [(tuple(linalg.residues(c.terms, image) for c in rel), deg) for rel, deg in relations]
     if None in grads or any(None in rel for rel, _ in rels):
         return None
     jac, ncols = macaulay_matrix([((g,), r) for g in grads], r + f.degree() - 1)

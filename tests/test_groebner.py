@@ -502,10 +502,10 @@ class TestCompleteIntersectionCertificate:
     exactly when the exact basis gives it, and proves nothing otherwise."""
 
     def test_prime(self):
-        from chebcurve.groebner import PRIME
-        from chebcurve.linalg import _is_prime
+        from chebcurve.linalg import PRIME, _is_prime, residue_map
 
-        assert PRIME < 2**30 and _is_prime(PRIME)
+        assert PRIME < 2**61 and _is_prime(PRIME)
+        assert residue_map(None)[0] == PRIME
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("d", range(2, 11))
@@ -558,7 +558,8 @@ class TestCompleteIntersectionCertificate:
 
     @pytest.mark.parametrize("d", [3, 4, 6])
     def test_prime_that_kills_a_partial(self, d):
-        from chebcurve.groebner import PRIME, complete_intersection_certificate
+        from chebcurve.groebner import complete_intersection_certificate
+        from chebcurve.linalg import PRIME
 
         # smooth over Q, but f_z = d*PRIME*z^(d-1) vanishes mod PRIME
         gens = partials(parse(f"x^{d} + y^{d} + {PRIME}*z^{d}"))
@@ -566,7 +567,8 @@ class TestCompleteIntersectionCertificate:
         assert _exact_numerator(gens) == _cube_of_one_minus_power(d - 1)
 
     def test_prime_that_makes_the_curve_singular(self):
-        from chebcurve.groebner import PRIME, complete_intersection_certificate
+        from chebcurve.groebner import complete_intersection_certificate
+        from chebcurve.linalg import PRIME
 
         # the Hesse cubic x^3 + y^3 + z^3 - 3c*x*y*z is singular exactly when
         # c^3 = 1: c = 1 + PRIME is smooth over Q and singular mod PRIME
@@ -576,25 +578,28 @@ class TestCompleteIntersectionCertificate:
 
     @pytest.mark.parametrize("d", [6, 9, 12])
     def test_stops_at_the_first_degree_above_the_bound(self, d, monkeypatch):
-        from chebcurve import groebner
+        from chebcurve import groebner, linalg
         from chebcurve.chebyshev import curve_polynomial
 
         calls = []
         reduce = groebner._normal_form_mod
 
-        def counted(terms, basis):
+        def counted(terms, basis, p):
             calls.append(1)
-            return reduce(terms, basis)
+            return reduce(terms, basis, p)
 
         monkeypatch.setattr(groebner, "_normal_form_mod", counted)
         gens = partials(curve_polynomial(d))
         assert groebner.complete_intersection_certificate(gens) is None
         stopped = len(calls)
         # run on without stopping: the same loop reduces more S-pairs
-        forms = [groebner._residues(p) for p in groebner._nonzero_forms(gens)]
+        p, image = linalg.residue_map(None)
+        forms = [linalg.residues(groebner._packed(g.terms), image) for g in groebner._nonzero_forms(gens)]
         numerator = groebner._complete_intersection_numerator(gens)
         calls.clear()
-        basis = groebner._pair_loop(forms, 3, numerator, counted, groebner._make_monic)
+        basis = groebner._pair_loop(
+            forms, 3, numerator, lambda t, b: counted(t, b, p), lambda t: groebner._make_monic(t, p)
+        )
         assert stopped < len(calls)
         assert hilbert_numerator([g.exps for g in basis]) == _exact_numerator(gens)
 

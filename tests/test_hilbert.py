@@ -14,7 +14,7 @@ from chebcurve.hilbert import (
     milnor_profile,
     series_dims,
 )
-from chebcurve.groebner import PRIME
+from chebcurve.linalg import PRIME
 from chebcurve.polyring import MPoly, monomial_basis, parse, partials
 from chebcurve.syzygy import syzygy_dim_from_hilbert
 

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -167,10 +168,6 @@ def product_matrices(draw):
     return [[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(m)] for i in range(n)], k
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % q for q in range(2, int(n**0.5) + 1))
-
-
 @st.composite
 def kernel_pairs(draw):
     """(A, K, s): A = X [I_s | Y] and K = [-Y; I_t], with A's columns and K's
@@ -259,13 +256,14 @@ class TestLiftedKernel:
         assert kernel_certificate([[1, 1, 1]], [[1], [-1], [0]], lambda x: False) is None
 
     def test_unreconstructible_entry(self):
-        # -1/100003 mod p reconstructs to the wrong fraction 21474/19225,
-        # and 1000001/1 to none
-        lift, seen = exact_kernel_vector([[100003, 1]])
-        assert kernel_certificate([[100003, 1]], [[], []], lift) is None
-        assert seen == [{1: 1, 0: Fraction(21474, 19225)}]
-        lift, seen = exact_kernel_vector([[1, -1000001]])
-        assert kernel_certificate([[1, -1000001]], [[], []], lift) is None
+        # past the bound sqrt(p/2) = 2^30 - 1, -1/(2^32 + 1) mod p
+        # reconstructs to the wrong fraction -536870912/536870913, and
+        # (2^31 + 1)/1 to none
+        lift, seen = exact_kernel_vector([[2**32 + 1, 1]])
+        assert kernel_certificate([[2**32 + 1, 1]], [[], []], lift) is None
+        assert seen == [{1: 1, 0: Fraction(-536870912, 536870913)}]
+        lift, seen = exact_kernel_vector([[1, -(2**31 + 1)]])
+        assert kernel_certificate([[1, -(2**31 + 1)]], [[], []], lift) is None
         assert seen == []
 
     @settings(max_examples=60, deadline=None)
@@ -278,27 +276,37 @@ class TestLiftedKernel:
 
 
 class TestRationalReconstruction:
-    @given(st.integers(-32767, 32767), st.integers(1, 32767))
+    @given(st.integers(-(2**30) + 1, 2**30 - 1), st.integers(1, 2**30 - 1))
     def test_small_fractions_come_back(self, n, m):
         p = _modulus(2)
         assert rational_reconstruction(n * pow(m, -1, p) % p, p) == Fraction(n, m)
 
     def test_no_small_fraction(self):
-        assert rational_reconstruction(1000001, _modulus(2)) is None
+        # 2^31 + 1 is past the bound sqrt(p/2) = 2^30 - 1
+        assert isqrt(_modulus(2) // 2) == 2**30 - 1
+        assert rational_reconstruction(2**31 + 1, _modulus(2)) is None
 
 
 class TestCertificate:
     def test_moduli(self):
+        # trial division cannot reach 61 bits: the Miller-Rabin test is
+        # checked against sympy below
         for n in (2, 6, 8, 10, 14, 18, 20):
             p = _modulus(n)
-            assert p < 2**31 and p % n == 1 and _is_prime(p)
-            assert not any(_is_prime(q) for q in range(p + n, 2**31, n))
+            assert p < 2**61 and p % n == 1 and linalg._is_prime(p)
+            assert not any(linalg._is_prime(q) for q in range(p + n, 2**61, n))
 
     def test_moduli_are_prime(self):
         sympy = pytest.importorskip("sympy")
         for n in range(2, 65):
             p = _modulus(n)
-            assert p < 2**31 and p % n == 1 and sympy.isprime(p), n
+            assert p < 2**61 and p % n == 1 and sympy.isprime(p), n
+
+    def test_rational_prime_is_the_modulus_of_two(self):
+        # the literal is the Mersenne prime 2^61 - 1, which no search makes
+        assert linalg.PRIME == 2**61 - 1 == _modulus(2)
+        assert linalg._is_prime(linalg.PRIME)
+        assert linalg.residue_map(None)[0] == linalg.PRIME
 
     def test_smallest_strong_pseudoprime_to_bases_2_3_5_7(self):
         # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin for bases 2, 3, 5, 7

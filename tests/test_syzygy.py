@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chebcurve import cli, interp, linalg, syzygy
 from chebcurve.chebyshev import build, curve_polynomial, minus_conics
+from chebcurve.groebner import buchberger, leading_ideal, multiplication_rows
 from chebcurve.numberfield import real_cyclotomic_field
 from chebcurve.polyring import MPoly, monomial_basis, parse, partials, variables
 from test_linalg import kernel_certificate
@@ -596,6 +597,40 @@ class TestQuotientCounts:
         monkeypatch.setattr(linalg, "_rank_exact", refuse)
         f = curve_polynomial(d)
         assert quotient_syzygy_dims(f, 3 * d) == hilbert_counts(f, 3 * d)
+
+    @pytest.mark.parametrize("d", [9, 11, 13])
+    def test_odd_chebyshev_kernels_close_with_no_rank(self, monkeypatch, d):
+        # at p < 2^31 the lifted kernel vectors of odd d failed to
+        # reconstruct, and 9, 12 and 16 degrees took linalg.rank
+        f = curve_polynomial(d)
+        want = hilbert_counts(f, 2 * d)
+        calls = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(1) or rank(rows))
+        assert quotient_syzygy_dims(f, 2 * d) == want
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name", [f"T{d}" for d in range(3, 13)] + [f"dense{d}-{seed}" for d in (5, 6) for seed in (1, 2, 3)]
+    )
+    def test_standard_monomials_grow_from_the_degree_below(self, name):
+        # the standard monomials of multiplication_rows, grown from the
+        # degree below, against a scan of every monomial against every lead
+        if name.startswith("T"):
+            f = curve_polynomial(int(name[1:]))
+        else:
+            d, seed = map(int, name[5:].split("-"))
+            workloads = bench_workloads()
+            f = parse(workloads.poly_text(workloads.dense_curve(random.Random(seed), d)))
+        top = 3 * f.degree()
+        one = MPoly.constant(Fraction(1), 3)
+        for gb in (regular_pair_basis(f), buchberger(partials(f))):
+            leads = leading_ideal(gb)
+            scanned = [
+                [m for m in monomial_basis(r, 3) if not any(all(a <= b for a, b in zip(e, m)) for e in leads)]
+                for r in range(top + 1)
+            ]
+            assert [list(rows) for rows in multiplication_rows(gb, one, top)] == scanned
 
     def test_failed_certificate_takes_the_rank_of_the_small_matrix(self, monkeypatch):
         f = curve_polynomial(5)
